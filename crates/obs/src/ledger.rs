@@ -211,10 +211,8 @@ impl CycleLedger {
         CycleCategory::ALL.iter().map(|&c| (c, self.get(c)))
     }
 
-    /// Adds every category of `other` into this ledger. The parallel
-    /// engine merges per-shard ledgers in stable shard order with this
-    /// (addition commutes, so the merged totals are order-independent
-    /// regardless).
+    /// Adds every category of `other` into this ledger (addition
+    /// commutes, so merged totals are order-independent).
     pub fn merge(&mut self, other: &CycleLedger) {
         for (i, v) in other.counts.iter().enumerate() {
             self.counts[i] += v;

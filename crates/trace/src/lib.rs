@@ -28,7 +28,7 @@
 //!
 //! The trailing footer makes truncation detectable (a cut file loses
 //! the end magic), and the checksum covers header + body, so any
-//! corruption in between is caught at open time. See `DESIGN.md` §14
+//! corruption in between is caught at open time. See `DESIGN.md` §13
 //! for the full layout diagram and the determinism argument.
 //!
 //! ## Reading

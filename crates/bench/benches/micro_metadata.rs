@@ -11,8 +11,9 @@
 use lelantus_bench::harness::bench;
 use lelantus_bench::results::{timed_emit, Record};
 use lelantus_crypto::MerkleTree;
+use lelantus_metadata::counter_block::reference;
 use lelantus_metadata::mac::{decode_mac_line, encode_mac_line};
-use lelantus_metadata::{CounterBlock, CounterCodec, CounterEncoding};
+use lelantus_metadata::{CounterBlock, CounterEncoding};
 use std::hint::black_box;
 
 fn main() {
@@ -23,32 +24,23 @@ fn main() {
         // --- counter-block codec: word-level vs reference --------------
         let cow = CounterBlock::fresh_cow(42);
         let regular = CounterBlock::fresh_regular(1);
-        let word_enc = bench("codec_encode_resized_word", || {
-            black_box(&cow).encode_with(CounterEncoding::Resized, CounterCodec::Word)
-        });
+        let word_enc =
+            bench("codec_encode_resized_word", || black_box(&cow).encode(CounterEncoding::Resized));
         let ref_enc = bench("codec_encode_resized_reference", || {
-            black_box(&cow).encode_with(CounterEncoding::Resized, CounterCodec::Reference)
+            reference::encode(black_box(&cow), CounterEncoding::Resized)
         });
         let bytes = cow.encode(CounterEncoding::Resized);
         let word_dec = bench("codec_decode_resized_word", || {
-            CounterBlock::decode_with(
-                black_box(&bytes),
-                CounterEncoding::Resized,
-                CounterCodec::Word,
-            )
+            CounterBlock::decode(black_box(&bytes), CounterEncoding::Resized)
         });
         let ref_dec = bench("codec_decode_resized_reference", || {
-            CounterBlock::decode_with(
-                black_box(&bytes),
-                CounterEncoding::Resized,
-                CounterCodec::Reference,
-            )
+            reference::decode(black_box(&bytes), CounterEncoding::Resized)
         });
         let word_enc_classic = bench("codec_encode_classic_word", || {
-            black_box(&regular).encode_with(CounterEncoding::Classic, CounterCodec::Word)
+            black_box(&regular).encode(CounterEncoding::Classic)
         });
         let ref_enc_classic = bench("codec_encode_classic_reference", || {
-            black_box(&regular).encode_with(CounterEncoding::Classic, CounterCodec::Reference)
+            reference::encode(black_box(&regular), CounterEncoding::Classic)
         });
         ms.extend([
             word_enc.clone(),

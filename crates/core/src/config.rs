@@ -97,40 +97,8 @@ pub struct ControllerConfig {
     pub data_macs: bool,
     /// On-chip MAC cache capacity in 64-byte MAC lines (8 tags each).
     pub mac_cache_lines: usize,
-    /// Track per-region access footprints (Fig 10c/d).
-    pub track_footprint: bool,
     /// AES-128 key for the counter-mode engine.
     pub key: [u8; 16],
-    /// Run the counter-mode engine on the byte-oriented reference AES
-    /// instead of the T-table cipher. Functionally identical and much
-    /// slower; only equivalence tests turn this on.
-    pub use_reference_aes: bool,
-    /// Serialize counter blocks with the original bit-by-bit codec
-    /// instead of the word-packing one. Byte-identical output and much
-    /// slower; only equivalence tests turn this on.
-    pub use_reference_codec: bool,
-    /// Recompute Merkle interior nodes on every counter write instead
-    /// of deferring to flush points. The simulated walk model is
-    /// identical either way; only equivalence tests turn this on.
-    pub use_eager_merkle: bool,
-    /// Combine consecutive same-line MAC updates through a one-line
-    /// buffer so page sweeps touch each MAC line once (host-side only;
-    /// cache ticks and stats are exact). On by default.
-    pub mac_write_combining: bool,
-    /// Record cycle-attribution segments (counter fills, Merkle walks,
-    /// MAC traffic, AES pads, CoW redirects, implicit copies) for the
-    /// system layer's [`CycleLedger`](lelantus_obs::CycleLedger). Off
-    /// by default; enable through `SimConfig::with_cycle_ledger` so the
-    /// segments are actually drained. Purely observational: timing,
-    /// stats and contents are bit-identical either way.
-    pub cycle_ledger: bool,
-    /// Record a spatial [`HeatGrid`](lelantus_obs::HeatGrid)
-    /// attributing metadata traffic (counter fills/overflows, Merkle
-    /// walk touches per level, MAC writebacks, redirected reads,
-    /// implicit copies) to the data region that caused it. Off by
-    /// default; enable through `SimConfig::with_heatmap` so the system
-    /// layer merges the grid. Purely observational.
-    pub heatmap: bool,
 }
 
 impl ControllerConfig {
@@ -159,14 +127,7 @@ impl ControllerConfig {
             chain_shortening: true,
             data_macs: true,
             mac_cache_lines: 1024,
-            track_footprint: true,
             key: *b"lelantus-aes-key",
-            use_reference_aes: false,
-            use_reference_codec: false,
-            use_eager_merkle: false,
-            mac_write_combining: true,
-            cycle_ledger: false,
-            heatmap: false,
         }
     }
 

@@ -31,7 +31,7 @@ use lelantus_cache::LineBackend;
 use lelantus_crypto::ctr::{xor_line, CtrEngine, IvSpec};
 use lelantus_crypto::merkle::MerkleTree;
 use lelantus_crypto::siphash::SipHash24;
-use lelantus_metadata::counter_block::{CounterBlock, CounterCodec, CounterEncoding, MINORS};
+use lelantus_metadata::counter_block::{CounterBlock, CounterEncoding, MINORS};
 use lelantus_metadata::counter_cache::{CounterCache, WritePolicy};
 use lelantus_metadata::cow_meta::{CowCache, CowMetaTable};
 use lelantus_metadata::layout::MetadataLayout;
@@ -89,11 +89,13 @@ pub struct SecureMemoryController<P: Probe = NullProbe> {
     stats: ControllerStats,
     footprint: FootprintTracker,
     probe: P,
+    /// Whether cycle-attribution segments are recorded.
+    cycle_ledger: bool,
     /// Cycle-attribution segments recorded while servicing requests
-    /// (only when `config.cycle_ledger`; drained by the system layer).
+    /// (only when `cycle_ledger`; drained by the system layer).
     segments: Vec<Segment>,
     /// Spatial heat of metadata traffic, attributed to the data region
-    /// that caused it (only when `config.heatmap`; merged by the
+    /// that caused it (only when the heatmap is on; merged by the
     /// system layer).
     heat: Option<Box<HeatGrid>>,
 }
@@ -106,7 +108,7 @@ impl SecureMemoryController {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: ControllerConfig) -> Self {
-        Self::with_probe(config, NullProbe)
+        Self::with_probe(config, NullProbe, false, false)
     }
 }
 
@@ -115,28 +117,33 @@ impl<P: Probe> SecureMemoryController<P> {
     /// datapath events reported to `probe` (which is cloned into the
     /// NVM device so the whole stack shares one event stream).
     ///
+    /// `cycle_ledger` records cycle-attribution segments (controller
+    /// and device) for the system layer to drain; `heatmap` records the
+    /// metadata-traffic and bank-access heat grids for it to merge.
+    /// Both are purely observational: timing, stats and contents are
+    /// bit-identical either way.
+    ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn with_probe(config: ControllerConfig, probe: P) -> Self {
+    pub fn with_probe(
+        config: ControllerConfig,
+        probe: P,
+        cycle_ledger: bool,
+        heatmap: bool,
+    ) -> Self {
         config.validate().expect("invalid controller config");
         let layout = MetadataLayout::for_data_bytes(config.data_bytes);
         let mut merkle =
-            MerkleTree::new(layout.regions() as usize, MERKLE_KEY, config.merkle_cache_nodes);
-        if !config.use_eager_merkle {
-            merkle = merkle.with_deferred_maintenance();
-        }
-        if config.heatmap {
+            MerkleTree::new(layout.regions() as usize, MERKLE_KEY, config.merkle_cache_nodes)
+                .with_deferred_maintenance();
+        if heatmap {
             merkle = merkle.with_touch_log();
         }
         let persisted_root = merkle.root();
         Self {
-            nvm: NvmDevice::with_probe(config.nvm.clone(), probe.clone()),
-            engine: if config.use_reference_aes {
-                CtrEngine::new_reference(config.key)
-            } else {
-                CtrEngine::new(config.key)
-            },
+            nvm: NvmDevice::with_probe(config.nvm.clone(), probe.clone(), cycle_ledger, heatmap),
+            engine: CtrEngine::new(config.key),
             merkle,
             counter_cache: CounterCache::new(config.counter_cache),
             cow_cache: CowCache::new(config.cow_cache_entries),
@@ -148,10 +155,11 @@ impl<P: Probe> SecureMemoryController<P> {
             initialized_regions: HashSet::new(),
             persisted_root,
             stats: ControllerStats::default(),
-            footprint: FootprintTracker::new(config.track_footprint),
-            heat: config.heatmap.then(Box::<HeatGrid>::default),
+            footprint: FootprintTracker::default(),
+            heat: heatmap.then(Box::<HeatGrid>::default),
             config,
             probe,
+            cycle_ledger,
             segments: Vec::new(),
         }
     }
@@ -188,7 +196,7 @@ impl<P: Probe> SecureMemoryController<P> {
     /// Records a cycle-attribution segment when the ledger is enabled.
     /// Purely observational: never affects timing, stats or contents.
     fn seg(&mut self, start: Cycles, end: Cycles, cat: CycleCategory) {
-        if self.config.cycle_ledger && end > start {
+        if self.cycle_ledger && end > start {
             self.segments.push(Segment { start: start.as_u64(), end: end.as_u64(), cat });
         }
     }
@@ -196,7 +204,7 @@ impl<P: Probe> SecureMemoryController<P> {
     /// Moves the device's recorded segments into the controller buffer
     /// (ordering them before anything recorded after this call).
     fn pull_device_segments(&mut self) {
-        if self.config.cycle_ledger {
+        if self.cycle_ledger {
             self.nvm.drain_segments_into(&mut self.segments);
         }
     }
@@ -222,7 +230,7 @@ impl<P: Probe> SecureMemoryController<P> {
     /// Marks the start of a bulk operation whose entire segment output
     /// should be relabelled (see [`Self::seg_relabel_from`]).
     fn seg_mark(&mut self) -> Option<usize> {
-        if self.config.cycle_ledger {
+        if self.cycle_ledger {
             self.pull_device_segments();
             Some(self.segments.len())
         } else {
@@ -355,14 +363,6 @@ impl<P: Probe> SecureMemoryController<P> {
         self.config.scheme.encoding()
     }
 
-    fn codec(&self) -> CounterCodec {
-        if self.config.use_reference_codec {
-            CounterCodec::Reference
-        } else {
-            CounterCodec::Word
-        }
-    }
-
     fn is_zero_region(&self, region: u64) -> bool {
         region < self.config.zero_area_bytes / REGION_BYTES
     }
@@ -400,7 +400,7 @@ impl<P: Probe> SecureMemoryController<P> {
         for line in 0..MINORS {
             block.minors[line] = self.initial_minor(region, line);
         }
-        let bytes = block.encode_with(self.encoding(), self.codec());
+        let bytes = block.encode(self.encoding());
         self.nvm.poke_line(self.layout.counter_addr_of_region(region), bytes);
         self.merkle.update_leaf(region as usize, &bytes);
         // Boot-time initialization is free of charge: its walk stats
@@ -444,7 +444,7 @@ impl<P: Probe> SecureMemoryController<P> {
         let t = t + Cycles::new(walk.nodes_fetched * self.config.nvm.row_hit_latency);
         self.seg(now, t_read, CycleCategory::CounterFill);
         self.seg(t_read, t, CycleCategory::MerkleWalk);
-        let block = CounterBlock::decode_with(&bytes, self.encoding(), self.codec());
+        let block = CounterBlock::decode(&bytes, self.encoding());
         if let Some(ev) = self.counter_cache.insert(region, block, false) {
             let encoding = self.encoding();
             self.counter_nvm_write(ev.region, &ev.block, encoding, now, false);
@@ -468,7 +468,7 @@ impl<P: Probe> SecureMemoryController<P> {
         if P::ENABLED {
             self.probe.emit(Event { cycle: now, kind: EventKind::CounterWriteback { region } });
         }
-        let bytes = block.encode_with(encoding, self.codec());
+        let bytes = block.encode(encoding);
         let caddr = self.layout.counter_addr_of_region(region);
         // Write-through counter management exists for persistence, so
         // its writes bypass the volatile queue (paper §V-E); ordinary
@@ -667,20 +667,18 @@ impl<P: Probe> SecureMemoryController<P> {
         let tag = self.data_mac(line_addr, cipher, major, minor);
         let index = self.layout.mac_line_index(line_addr);
         let (_, slot) = self.layout.mac_slot_of_line(line_addr);
-        if self.config.mac_write_combining {
-            if let Some((wc_index, pending)) = &mut self.mac_wc {
-                if *wc_index == index {
-                    // Same-line streak: the line is resident (its first
-                    // touch below established that, and every other
-                    // cache access flushes the buffer first), so this
-                    // is the resident update path — buffer it and let
-                    // `mac_wc_flush` replay the batch tick-exactly.
-                    pending.push((slot, tag));
-                    return now + Cycles::new(1);
-                }
+        if let Some((wc_index, pending)) = &mut self.mac_wc {
+            if *wc_index == index {
+                // Same-line streak: the line is resident (its first
+                // touch below established that, and every other cache
+                // access flushes the buffer first), so this is the
+                // resident update path — buffer it and let
+                // `mac_wc_flush` replay the batch tick-exactly.
+                pending.push((slot, tag));
+                return now + Cycles::new(1);
             }
-            self.mac_wc_flush();
         }
+        self.mac_wc_flush();
         if !self.mac_cache.update_tag(index, slot, tag) {
             // Fill-then-update keeps sibling tags intact.
             let (mut line, t) = self.fetch_mac_line(line_addr, now);
@@ -688,14 +686,10 @@ impl<P: Probe> SecureMemoryController<P> {
             if let Some(ev) = self.mac_cache.fill(index, line, true) {
                 self.writeback_mac_line(ev.index, &ev.macs, now);
             }
-            if self.config.mac_write_combining {
-                self.mac_wc = Some((index, Vec::new()));
-            }
+            self.mac_wc = Some((index, Vec::new()));
             return t;
         }
-        if self.config.mac_write_combining {
-            self.mac_wc = Some((index, Vec::new()));
-        }
+        self.mac_wc = Some((index, Vec::new()));
         now + Cycles::new(1)
     }
 
@@ -1240,7 +1234,8 @@ impl<P: Probe> SecureMemoryController<P> {
             self.layout.regions() as usize,
             MERKLE_KEY,
             self.config.merkle_cache_nodes,
-        );
+        )
+        .with_deferred_maintenance();
         let mut report = RecoveryReport::default();
         let mut regions: Vec<u64> = self.initialized_regions.iter().copied().collect();
         regions.sort_unstable();
@@ -1259,10 +1254,11 @@ impl<P: Probe> SecureMemoryController<P> {
                 }
             }
         }
+        rebuilt.flush();
         if rebuilt.root() != saved_root {
             return Err(lelantus_crypto::TamperError { leaf: 0, level: usize::MAX });
         }
-        if self.config.heatmap {
+        if self.heat.is_some() {
             // Recovery itself is free of charge (the rebuild above ran
             // without a touch log); walks after recovery record again.
             rebuilt = rebuilt.with_touch_log();

@@ -52,27 +52,18 @@ impl RegionFootprint {
 /// use lelantus_core::footprint::{AccessDir, FootprintTracker};
 /// use lelantus_types::PhysAddr;
 ///
-/// let mut fp = FootprintTracker::new(true);
+/// let mut fp = FootprintTracker::default();
 /// fp.record(PhysAddr::new(0x1040), AccessDir::Write); // region 1, line 1
 /// assert_eq!(fp.region(1).unwrap().lines_written(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FootprintTracker {
-    enabled: bool,
     regions: HashMap<u64, RegionFootprint>,
 }
 
 impl FootprintTracker {
-    /// Creates a tracker; a disabled tracker records nothing.
-    pub fn new(enabled: bool) -> Self {
-        Self { enabled, regions: HashMap::new() }
-    }
-
     /// Records a physical access at `addr`.
     pub fn record(&mut self, addr: PhysAddr, dir: AccessDir) {
-        if !self.enabled {
-            return;
-        }
         let region = addr.as_u64() / REGION_BYTES;
         let line = (addr.as_u64() % REGION_BYTES) / LINE_BYTES as u64;
         let fp = self.regions.entry(region).or_default();
@@ -113,7 +104,7 @@ mod tests {
 
     #[test]
     fn records_distinct_lines() {
-        let mut fp = FootprintTracker::new(true);
+        let mut fp = FootprintTracker::default();
         fp.record(PhysAddr::new(0x0), AccessDir::Read);
         fp.record(PhysAddr::new(0x40), AccessDir::Read);
         fp.record(PhysAddr::new(0x40), AccessDir::Write);
@@ -124,16 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracker_records_nothing() {
-        let mut fp = FootprintTracker::new(false);
-        fp.record(PhysAddr::new(0x0), AccessDir::Write);
-        assert!(fp.region(0).is_none());
-        assert_eq!(fp.mean_write_density(), 0.0);
-    }
-
-    #[test]
     fn density_and_reset() {
-        let mut fp = FootprintTracker::new(true);
+        let mut fp = FootprintTracker::default();
         for line in 0..32u64 {
             fp.record(PhysAddr::new(line * 64), AccessDir::Write);
         }
@@ -144,7 +127,7 @@ mod tests {
 
     #[test]
     fn regions_are_separate() {
-        let mut fp = FootprintTracker::new(true);
+        let mut fp = FootprintTracker::default();
         fp.record(PhysAddr::new(0x0), AccessDir::Write);
         fp.record(PhysAddr::new(4096), AccessDir::Write);
         assert_eq!(fp.region(0).unwrap().lines_written(), 1);

@@ -19,23 +19,6 @@
 /// Number of minor counters (lines) per counter block.
 pub const MINORS: usize = 64;
 
-/// Which codec implementation (de)serializes counter blocks.
-///
-/// Both produce bit-identical wire bytes; [`CounterCodec::Word`] packs
-/// minors through u64 shift/mask words (eight 6/7-bit minors per
-/// word), while [`CounterCodec::Reference`] is the original
-/// bit-by-bit loop kept as the behavioural oracle — the same pattern
-/// as the AES `reference` backend behind
-/// `SimConfig::with_reference_aes`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum CounterCodec {
-    /// Word-level bit packing (the fast default).
-    #[default]
-    Word,
-    /// The original bit-by-bit loops (equivalence-test oracle).
-    Reference,
-}
-
 /// Which wire format a counter block is serialized with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterEncoding {
@@ -199,8 +182,15 @@ impl CounterBlock {
         }
     }
 
-    /// Serializes to the 64-byte wire format with the fast
-    /// [`CounterCodec::Word`] codec.
+    /// Serializes to the 64-byte wire format.
+    ///
+    /// The major (and flag bit) land as one little-endian u64; minors
+    /// pack eight at a time through u64 shifts (8 × 7 bits = 56 bits =
+    /// 7 bytes for regular minors, 8 × 6 bits = 48 bits = 6 bytes for
+    /// CoW minors), branch-free per group. The wire format is LSB-first
+    /// within each byte — exactly the order a little-endian u64 store
+    /// produces — so the bytes equal the bit-by-bit
+    /// [`reference::encode`].
     ///
     /// # Panics
     ///
@@ -208,44 +198,6 @@ impl CounterBlock {
     /// [`CounterEncoding::Classic`], a minor or major exceeding the
     /// encoding's ceiling.
     pub fn encode(&self, encoding: CounterEncoding) -> [u8; 64] {
-        self.encode_with(encoding, CounterCodec::Word)
-    }
-
-    /// Deserializes from the 64-byte wire format with the fast
-    /// [`CounterCodec::Word`] codec.
-    pub fn decode(bytes: &[u8; 64], encoding: CounterEncoding) -> Self {
-        Self::decode_with(bytes, encoding, CounterCodec::Word)
-    }
-
-    /// Serializes with an explicit codec (see [`CounterCodec`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`CounterBlock::encode`], with identical
-    /// messages under either codec.
-    pub fn encode_with(&self, encoding: CounterEncoding, codec: CounterCodec) -> [u8; 64] {
-        match codec {
-            CounterCodec::Word => self.encode_word(encoding),
-            CounterCodec::Reference => self.encode_reference(encoding),
-        }
-    }
-
-    /// Deserializes with an explicit codec (see [`CounterCodec`]).
-    pub fn decode_with(bytes: &[u8; 64], encoding: CounterEncoding, codec: CounterCodec) -> Self {
-        match codec {
-            CounterCodec::Word => Self::decode_word(bytes, encoding),
-            CounterCodec::Reference => Self::decode_reference(bytes, encoding),
-        }
-    }
-
-    /// Word-level encoder: the major (and flag bit) land as one
-    /// little-endian u64; minors pack eight at a time through u64
-    /// shifts (8 × 7 bits = 56 bits = 7 bytes for regular minors,
-    /// 8 × 6 bits = 48 bits = 6 bytes for CoW minors), branch-free per
-    /// group. Bit layout is identical to the reference codec because
-    /// the wire format is LSB-first within each byte — exactly the
-    /// order a little-endian u64 store produces.
-    fn encode_word(&self, encoding: CounterEncoding) -> [u8; 64] {
         let mut buf = [0u8; 64];
         match encoding {
             CounterEncoding::Classic => {
@@ -274,8 +226,9 @@ impl CounterBlock {
         buf
     }
 
-    /// Word-level decoder (see [`CounterBlock::encode_word`]).
-    fn decode_word(bytes: &[u8; 64], encoding: CounterEncoding) -> Self {
+    /// Deserializes from the 64-byte wire format (the inverse of
+    /// [`CounterBlock::encode`]).
+    pub fn decode(bytes: &[u8; 64], encoding: CounterEncoding) -> Self {
         let word0 = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
         match encoding {
             CounterEncoding::Classic => {
@@ -288,79 +241,6 @@ impl CounterBlock {
                 } else {
                     let src = u64::from_le_bytes(bytes[56..64].try_into().expect("8 bytes"));
                     Self { major, minors: unpack_minors6(bytes), cow_src: Some(src) }
-                }
-            }
-        }
-    }
-
-    /// The original bit-by-bit encoder, kept as the equivalence oracle.
-    fn encode_reference(&self, encoding: CounterEncoding) -> [u8; 64] {
-        let mut buf = [0u8; 64];
-        match encoding {
-            CounterEncoding::Classic => {
-                assert!(
-                    !self.is_cow(),
-                    "classic encoding has no in-band CoW fields (use the supplementary table)"
-                );
-                write_bits(&mut buf, 0, 64, self.major);
-                for (i, &m) in self.minors.iter().enumerate() {
-                    assert!(m <= 127, "classic minor is 7-bit");
-                    write_bits(&mut buf, 64 + 7 * i, 7, m as u64);
-                }
-            }
-            CounterEncoding::Resized => {
-                assert!(self.major <= encoding.major_max(), "resized major is 63-bit");
-                match self.cow_src {
-                    None => {
-                        write_bits(&mut buf, 0, 1, 0);
-                        write_bits(&mut buf, 1, 63, self.major);
-                        for (i, &m) in self.minors.iter().enumerate() {
-                            assert!(m <= 127, "regular minor is 7-bit");
-                            write_bits(&mut buf, 64 + 7 * i, 7, m as u64);
-                        }
-                    }
-                    Some(src) => {
-                        write_bits(&mut buf, 0, 1, 1);
-                        write_bits(&mut buf, 1, 63, self.major);
-                        for (i, &m) in self.minors.iter().enumerate() {
-                            assert!(m <= 63, "CoW minor is 6-bit");
-                            write_bits(&mut buf, 64 + 6 * i, 6, m as u64);
-                        }
-                        write_bits(&mut buf, 64 + 6 * MINORS, 64, src);
-                    }
-                }
-            }
-        }
-        buf
-    }
-
-    /// The original bit-by-bit decoder, kept as the equivalence oracle.
-    fn decode_reference(bytes: &[u8; 64], encoding: CounterEncoding) -> Self {
-        match encoding {
-            CounterEncoding::Classic => {
-                let major = read_bits(bytes, 0, 64);
-                let mut minors = [0u8; MINORS];
-                for (i, m) in minors.iter_mut().enumerate() {
-                    *m = read_bits(bytes, 64 + 7 * i, 7) as u8;
-                }
-                Self { major, minors, cow_src: None }
-            }
-            CounterEncoding::Resized => {
-                let flag = read_bits(bytes, 0, 1);
-                let major = read_bits(bytes, 1, 63);
-                if flag == 0 {
-                    let mut minors = [0u8; MINORS];
-                    for (i, m) in minors.iter_mut().enumerate() {
-                        *m = read_bits(bytes, 64 + 7 * i, 7) as u8;
-                    }
-                    Self { major, minors, cow_src: None }
-                } else {
-                    let mut minors = [0u8; MINORS];
-                    for (i, m) in minors.iter_mut().enumerate() {
-                        *m = read_bits(bytes, 64 + 6 * i, 6) as u8;
-                    }
-                    let src = read_bits(bytes, 64 + 6 * MINORS, 64);
-                    Self { major, minors, cow_src: Some(src) }
                 }
             }
         }
@@ -424,34 +304,144 @@ fn unpack_minors6(bytes: &[u8; 64]) -> [u8; MINORS] {
     minors
 }
 
-/// Reads `len` (≤ 64) bits starting at absolute bit `start` (LSB-first
-/// within each byte).
-fn read_bits(buf: &[u8; 64], start: usize, len: usize) -> u64 {
-    debug_assert!(len <= 64 && start + len <= 512);
-    let mut out = 0u64;
-    for i in 0..len {
-        let bit = start + i;
-        let byte = bit / 8;
-        let off = bit % 8;
-        if buf[byte] >> off & 1 == 1 {
-            out |= 1 << i;
+/// The original bit-by-bit counter-block codec, kept as the oracle
+/// that [`CounterBlock::encode`]/[`CounterBlock::decode`] are checked
+/// and benchmarked against. Nothing in the simulator calls it.
+pub mod reference {
+    use super::{CounterBlock, CounterEncoding, MINORS};
+
+    /// Serializes `block` bit by bit; byte-identical to
+    /// [`CounterBlock::encode`], with the same panics.
+    pub fn encode(block: &CounterBlock, encoding: CounterEncoding) -> [u8; 64] {
+        let mut buf = [0u8; 64];
+        match encoding {
+            CounterEncoding::Classic => {
+                assert!(
+                    !block.is_cow(),
+                    "classic encoding has no in-band CoW fields (use the supplementary table)"
+                );
+                write_bits(&mut buf, 0, 64, block.major);
+                for (i, &m) in block.minors.iter().enumerate() {
+                    assert!(m <= 127, "classic minor is 7-bit");
+                    write_bits(&mut buf, 64 + 7 * i, 7, m as u64);
+                }
+            }
+            CounterEncoding::Resized => {
+                assert!(block.major <= encoding.major_max(), "resized major is 63-bit");
+                match block.cow_src {
+                    None => {
+                        write_bits(&mut buf, 0, 1, 0);
+                        write_bits(&mut buf, 1, 63, block.major);
+                        for (i, &m) in block.minors.iter().enumerate() {
+                            assert!(m <= 127, "regular minor is 7-bit");
+                            write_bits(&mut buf, 64 + 7 * i, 7, m as u64);
+                        }
+                    }
+                    Some(src) => {
+                        write_bits(&mut buf, 0, 1, 1);
+                        write_bits(&mut buf, 1, 63, block.major);
+                        for (i, &m) in block.minors.iter().enumerate() {
+                            assert!(m <= 63, "CoW minor is 6-bit");
+                            write_bits(&mut buf, 64 + 6 * i, 6, m as u64);
+                        }
+                        write_bits(&mut buf, 64 + 6 * MINORS, 64, src);
+                    }
+                }
+            }
+        }
+        buf
+    }
+
+    /// Deserializes bit by bit; equal to [`CounterBlock::decode`].
+    pub fn decode(bytes: &[u8; 64], encoding: CounterEncoding) -> CounterBlock {
+        match encoding {
+            CounterEncoding::Classic => {
+                let major = read_bits(bytes, 0, 64);
+                let mut minors = [0u8; MINORS];
+                for (i, m) in minors.iter_mut().enumerate() {
+                    *m = read_bits(bytes, 64 + 7 * i, 7) as u8;
+                }
+                CounterBlock { major, minors, cow_src: None }
+            }
+            CounterEncoding::Resized => {
+                let flag = read_bits(bytes, 0, 1);
+                let major = read_bits(bytes, 1, 63);
+                if flag == 0 {
+                    let mut minors = [0u8; MINORS];
+                    for (i, m) in minors.iter_mut().enumerate() {
+                        *m = read_bits(bytes, 64 + 7 * i, 7) as u8;
+                    }
+                    CounterBlock { major, minors, cow_src: None }
+                } else {
+                    let mut minors = [0u8; MINORS];
+                    for (i, m) in minors.iter_mut().enumerate() {
+                        *m = read_bits(bytes, 64 + 6 * i, 6) as u8;
+                    }
+                    let src = read_bits(bytes, 64 + 6 * MINORS, 64);
+                    CounterBlock { major, minors, cow_src: Some(src) }
+                }
+            }
         }
     }
-    out
-}
 
-/// Writes `len` (≤ 64) bits of `val` starting at absolute bit `start`.
-fn write_bits(buf: &mut [u8; 64], start: usize, len: usize, val: u64) {
-    debug_assert!(len <= 64 && start + len <= 512);
-    debug_assert!(len == 64 || val < (1u64 << len), "value does not fit field");
-    for i in 0..len {
-        let bit = start + i;
-        let byte = bit / 8;
-        let off = bit % 8;
-        if val >> i & 1 == 1 {
-            buf[byte] |= 1 << off;
-        } else {
-            buf[byte] &= !(1 << off);
+    /// Reads `len` (≤ 64) bits starting at absolute bit `start` (LSB-first
+    /// within each byte).
+    fn read_bits(buf: &[u8; 64], start: usize, len: usize) -> u64 {
+        debug_assert!(len <= 64 && start + len <= 512);
+        let mut out = 0u64;
+        for i in 0..len {
+            let bit = start + i;
+            let byte = bit / 8;
+            let off = bit % 8;
+            if buf[byte] >> off & 1 == 1 {
+                out |= 1 << i;
+            }
+        }
+        out
+    }
+
+    /// Writes `len` (≤ 64) bits of `val` starting at absolute bit `start`.
+    fn write_bits(buf: &mut [u8; 64], start: usize, len: usize, val: u64) {
+        debug_assert!(len <= 64 && start + len <= 512);
+        debug_assert!(len == 64 || val < (1u64 << len), "value does not fit field");
+        for i in 0..len {
+            let bit = start + i;
+            let byte = bit / 8;
+            let off = bit % 8;
+            if val >> i & 1 == 1 {
+                buf[byte] |= 1 << off;
+            } else {
+                buf[byte] &= !(1 << off);
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[test]
+        fn bit_helpers() {
+            let mut buf = [0u8; 64];
+            write_bits(&mut buf, 3, 13, 0x1ABC & 0x1FFF);
+            assert_eq!(read_bits(&buf, 3, 13), 0x1ABC & 0x1FFF);
+            write_bits(&mut buf, 448, 64, u64::MAX);
+            assert_eq!(read_bits(&buf, 448, 64), u64::MAX);
+            // Overwrite with zeros clears.
+            write_bits(&mut buf, 448, 64, 0);
+            assert_eq!(read_bits(&buf, 448, 64), 0);
+        }
+
+        proptest! {
+            #[test]
+            fn prop_bits_roundtrip(start in 0usize..448, len in 1usize..=64, val in any::<u64>()) {
+                prop_assume!(start + len <= 512);
+                let masked = if len == 64 { val } else { val & ((1u64 << len) - 1) };
+                let mut buf = [0xA5u8; 64];
+                write_bits(&mut buf, start, len, masked);
+                prop_assert_eq!(read_bits(&buf, start, len), masked);
+            }
         }
     }
 }
@@ -570,18 +560,6 @@ mod tests {
         assert_eq!(CounterBlock::fresh_regular(0).uncopied_lines(), 0);
     }
 
-    #[test]
-    fn bit_helpers() {
-        let mut buf = [0u8; 64];
-        write_bits(&mut buf, 3, 13, 0x1ABC & 0x1FFF);
-        assert_eq!(read_bits(&buf, 3, 13), 0x1ABC & 0x1FFF);
-        write_bits(&mut buf, 448, 64, u64::MAX);
-        assert_eq!(read_bits(&buf, 448, 64), u64::MAX);
-        // Overwrite with zeros clears.
-        write_bits(&mut buf, 448, 64, 0);
-        assert_eq!(read_bits(&buf, 448, 64), 0);
-    }
-
     proptest! {
         #[test]
         fn prop_classic_roundtrip(major in any::<u64>(),
@@ -607,30 +585,21 @@ mod tests {
             let bytes = b.encode(CounterEncoding::Resized);
             prop_assert_eq!(CounterBlock::decode(&bytes, CounterEncoding::Resized), b);
         }
-
-        #[test]
-        fn prop_bits_roundtrip(start in 0usize..448, len in 1usize..=64, val in any::<u64>()) {
-            prop_assume!(start + len <= 512);
-            let masked = if len == 64 { val } else { val & ((1u64 << len) - 1) };
-            let mut buf = [0xA5u8; 64];
-            write_bits(&mut buf, start, len, masked);
-            prop_assert_eq!(read_bits(&buf, start, len), masked);
-        }
     }
 
-    /// Checks one block against both codecs under one encoding: the
-    /// wire bytes must be byte-identical, and all four
-    /// (codec × direction) combinations must return the block.
+    /// Checks one block against the word codec and the bit-by-bit
+    /// reference under one encoding: the wire bytes must be
+    /// byte-identical, and both decoders must return the block.
     fn assert_codecs_agree(b: &CounterBlock, encoding: CounterEncoding) {
-        let word = b.encode_with(encoding, CounterCodec::Word);
-        let reference = b.encode_with(encoding, CounterCodec::Reference);
-        assert_eq!(word, reference, "codecs disagree on wire bytes ({encoding:?})");
-        assert_eq!(&CounterBlock::decode_with(&word, encoding, CounterCodec::Word), b);
-        assert_eq!(&CounterBlock::decode_with(&word, encoding, CounterCodec::Reference), b);
+        let word = b.encode(encoding);
+        let oracle = reference::encode(b, encoding);
+        assert_eq!(word, oracle, "codecs disagree on wire bytes ({encoding:?})");
+        assert_eq!(&CounterBlock::decode(&word, encoding), b);
+        assert_eq!(&reference::decode(&word, encoding), b);
     }
 
     // Word-codec equivalence: the fast path must be byte-identical to
-    // the bit-by-bit reference for every encoding (ISSUE 3 satellite).
+    // the bit-by-bit reference for every encoding.
     proptest! {
         /// Solution-2 layout (7-bit minors), classic encoding.
         #[test]
@@ -706,12 +675,12 @@ mod tests {
     fn word_codec_enforces_cow_minor_ceiling() {
         let mut b = CounterBlock::fresh_cow(1);
         b.minors[63] = 64;
-        b.encode_with(CounterEncoding::Resized, CounterCodec::Word);
+        b.encode(CounterEncoding::Resized);
     }
 
     #[test]
     #[should_panic(expected = "classic encoding has no in-band CoW fields")]
     fn word_codec_rejects_classic_cow() {
-        CounterBlock::fresh_cow(1).encode_with(CounterEncoding::Classic, CounterCodec::Word);
+        CounterBlock::fresh_cow(1).encode(CounterEncoding::Classic);
     }
 }

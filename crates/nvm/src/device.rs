@@ -43,11 +43,13 @@ pub struct NvmDevice<P: Probe = NullProbe> {
     leveler: Option<StartGap>,
     stats: NvmStats,
     probe: P,
+    /// Whether cycle-attribution segments are recorded.
+    cycle_ledger: bool,
     /// Cycle-attribution segments recorded while servicing requests
-    /// (only when `config.cycle_ledger`; drained by the controller).
+    /// (only when `cycle_ledger`; drained by the controller).
     segments: Vec<Segment>,
     /// Spatial heat of bank array accesses per 4 KB region (only when
-    /// `config.heatmap`; merged by the system layer).
+    /// the heatmap is on; merged by the system layer).
     heat: Option<Box<HeatGrid>>,
 }
 
@@ -60,19 +62,22 @@ impl NvmDevice {
     /// Panics if the configuration is invalid (see
     /// [`NvmConfig::validate`]).
     pub fn new(config: NvmConfig) -> Self {
-        Self::with_probe(config, NullProbe)
+        Self::with_probe(config, NullProbe, false, false)
     }
 }
 
 impl<P: Probe> NvmDevice<P> {
     /// Creates a device from `config` whose queue traffic is reported
-    /// to `probe`.
+    /// to `probe`. `cycle_ledger` records attribution
+    /// [`Segment`]s for bank service and queue stalls (drained through
+    /// the controller); `heatmap` records a [`HeatGrid`] of bank array
+    /// accesses per 4 KB region. Both are purely observational.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
     /// [`NvmConfig::validate`]).
-    pub fn with_probe(config: NvmConfig, probe: P) -> Self {
+    pub fn with_probe(config: NvmConfig, probe: P, cycle_ledger: bool, heatmap: bool) -> Self {
         config.validate().expect("invalid NVM configuration");
         let banks = (0..config.total_banks()).map(|_| Bank::new()).collect();
         let write_queue = WriteQueue::new(config.write_queue_capacity);
@@ -81,7 +86,7 @@ impl<P: Probe> NvmDevice<P> {
             .map(|sg| StartGap::new(config.capacity_bytes / LINE_BYTES as u64, sg));
         Self {
             bus_busy: vec![Cycles::ZERO; config.ranks],
-            heat: config.heatmap.then(Box::<HeatGrid>::default),
+            heat: heatmap.then(Box::<HeatGrid>::default),
             config,
             banks,
             write_queue,
@@ -90,6 +95,7 @@ impl<P: Probe> NvmDevice<P> {
             leveler,
             stats: NvmStats::default(),
             probe,
+            cycle_ledger,
             segments: Vec::new(),
         }
     }
@@ -113,7 +119,7 @@ impl<P: Probe> NvmDevice<P> {
 
     /// Records a cycle-attribution segment when the ledger is enabled.
     fn seg(&mut self, start: Cycles, end: Cycles, cat: CycleCategory) {
-        if self.config.cycle_ledger && end > start {
+        if self.cycle_ledger && end > start {
             self.segments.push(Segment { start: start.as_u64(), end: end.as_u64(), cat });
         }
     }

@@ -43,18 +43,12 @@ pub struct SimConfig {
     /// series (see `System::epochs`). 0 (the default) disables
     /// sampling entirely.
     pub epoch_interval: u64,
-    /// Forces `System::run_batch` to replay each batched op through the
-    /// exact per-line access path (`read_bytes`/`write_bytes`/
-    /// `write_pattern`) instead of the run-cached fast path. The two
-    /// are functionally identical; this exists for the equivalence
-    /// tests that prove it.
-    pub reference_access_path: bool,
     /// Maintains the cycle-attribution ledger (`System::cycle_ledger`):
     /// every simulated cycle is charged to exactly one
     /// `CycleCategory`, with `sum(categories) == SimMetrics.cycles`.
     /// Purely observational — a ledger-enabled run is bit-identical to
-    /// a disabled one. Set via [`SimConfig::with_cycle_ledger`], which
-    /// also enables segment recording in the controller and device.
+    /// a disabled one. `System` hands it to the controller and device,
+    /// which then record attribution segments.
     pub cycle_ledger: bool,
     /// Records a `FaultSpan` per serviced fault (and per implicit
     /// copy) into a `TailRecorder`: overall + per-action HDR latency
@@ -70,8 +64,8 @@ pub struct SimConfig {
     /// copies, counter fills/overflows, Merkle walk touches per tree
     /// level, MAC writebacks and bank array accesses. Purely
     /// observational — a recording run is bit-identical to a disabled
-    /// one. Set via [`SimConfig::with_heatmap`], which also enables
-    /// recording in the controller and device.
+    /// one. `System` hands it to the controller and device, which then
+    /// record their lanes.
     pub heatmap: bool,
 }
 
@@ -100,7 +94,6 @@ impl SimConfig {
             op_cost: 1,
             tlb: TlbConfig::default(),
             epoch_interval: 0,
-            reference_access_path: false,
             cycle_ledger: false,
             tail_recorder: false,
             tail_top_k: 16,
@@ -112,8 +105,6 @@ impl SimConfig {
     /// (system accounting plus controller/device segment recording).
     pub fn with_cycle_ledger(mut self) -> Self {
         self.cycle_ledger = true;
-        self.controller.cycle_ledger = true;
-        self.controller.nvm.cycle_ledger = true;
         self
     }
 
@@ -136,8 +127,6 @@ impl SimConfig {
     /// fault lanes plus controller metadata and device bank lanes).
     pub fn with_heatmap(mut self) -> Self {
         self.heatmap = true;
-        self.controller.heatmap = true;
-        self.controller.nvm.heatmap = true;
         self
     }
 
@@ -160,36 +149,6 @@ impl SimConfig {
     /// *measure* overflow, §V-A).
     pub fn with_deterministic_counters(mut self) -> Self {
         self.controller.randomize_counters = false;
-        self
-    }
-
-    /// Runs the controller's counter-mode engine on the byte-oriented
-    /// reference AES (functionally identical, much slower). Exists for
-    /// the equivalence tests that prove the T-table fast path changes
-    /// nothing observable.
-    pub fn with_reference_aes(mut self) -> Self {
-        self.controller.use_reference_aes = true;
-        self
-    }
-
-    /// Runs the controller's metadata path in its slow reference shape:
-    /// bit-by-bit counter-block codec, eager per-write Merkle
-    /// maintenance, no MAC write combining. Functionally identical to
-    /// the fast path; exists for the equivalence tests that prove the
-    /// metadata fast path changes nothing observable.
-    pub fn with_reference_metadata(mut self) -> Self {
-        self.controller.use_reference_codec = true;
-        self.controller.use_eager_merkle = true;
-        self.controller.mac_write_combining = false;
-        self
-    }
-
-    /// Routes `System::run_batch` through the per-line reference access
-    /// path. Functionally identical to the batched fast path; exists
-    /// for the equivalence tests that prove the run-caching changes
-    /// nothing observable.
-    pub fn with_reference_access_path(mut self) -> Self {
-        self.reference_access_path = true;
         self
     }
 
@@ -228,18 +187,6 @@ impl SimConfig {
         }
         if self.controller.zero_area_bytes != 2 << 20 {
             return Err("the kernel reserves exactly one 2 MB zero page".into());
-        }
-        if self.cycle_ledger != self.controller.cycle_ledger
-            || self.cycle_ledger != self.controller.nvm.cycle_ledger
-        {
-            // Segments are only drained when the system-level ledger
-            // runs; a partial enable would leak or starve them.
-            return Err("cycle_ledger must be enabled via with_cycle_ledger (all layers)".into());
-        }
-        if self.heatmap != self.controller.heatmap || self.heatmap != self.controller.nvm.heatmap {
-            // Layer grids are only merged when the system-level heatmap
-            // runs; a partial enable would record grids nobody reads.
-            return Err("heatmap must be enabled via with_heatmap (all layers)".into());
         }
         self.tlb.validate()?;
         Ok(())
@@ -292,28 +239,5 @@ mod tests {
         assert!(cfg.tail_recorder);
         assert_eq!(cfg.tail_top_k, 8);
         assert!(!cfg.cycle_ledger, "tail recorder does not force the ledger");
-    }
-
-    #[test]
-    fn heatmap_must_enable_all_layers() {
-        let cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_heatmap();
-        assert!(cfg.validate().is_ok());
-        assert!(cfg.controller.heatmap && cfg.controller.nvm.heatmap);
-        let mut partial = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-        partial.controller.heatmap = true;
-        assert!(partial.validate().is_err(), "partial enable must be rejected");
-        let mut partial = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-        partial.heatmap = true;
-        assert!(partial.validate().is_err(), "partial enable must be rejected");
-    }
-
-    #[test]
-    fn cycle_ledger_must_enable_all_layers() {
-        let cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_cycle_ledger();
-        assert!(cfg.validate().is_ok());
-        assert!(cfg.controller.cycle_ledger && cfg.controller.nvm.cycle_ledger);
-        let mut partial = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-        partial.controller.cycle_ledger = true;
-        assert!(partial.validate().is_err(), "partial enable must be rejected");
     }
 }

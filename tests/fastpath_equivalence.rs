@@ -10,12 +10,15 @@
 //! same ciphertexts, same statistics, same cycle accounting, bit for
 //! bit. A regression here means the "optimization" changed semantics.
 
+mod golden;
+
 use lelantus::crypto::aes::{reference, Aes128};
-use lelantus::crypto::ctr::{CtrEngine, IvSpec, LINE_BYTES};
+use lelantus::crypto::ctr::{xor_line, CtrEngine, IvSpec, LINE_BYTES};
+use lelantus::metadata::counter_block;
+use lelantus::metadata::layout::MetadataLayout;
 use lelantus::nvm::LineStore;
 use lelantus::os::CowStrategy;
-use lelantus::sim::{SimConfig, System};
-use lelantus::types::{PageSize, PhysAddr};
+use lelantus::types::{PhysAddr, REGION_BYTES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,42 +138,60 @@ fn line_store_matches_hashmap_semantics() {
 // Whole-system equivalence: fast AES vs reference AES
 // ---------------------------------------------------------------------
 
-/// Drives a deterministic fork/write/read scenario and returns the
-/// metrics plus a raw-NVM fingerprint.
-fn run_scenario(config: SimConfig) -> (String, Vec<[u8; LINE_BYTES]>) {
-    let mut sys = System::new(config);
-    let pid = sys.spawn_init();
-    let len = 4096 * 8;
-    let va = sys.mmap(pid, len).unwrap();
-    sys.write_pattern(pid, va, len as usize, 0x3C).unwrap();
-    let child = sys.fork(pid).unwrap();
-    // Writes on both sides of the fork break CoW in both directions.
-    sys.write_bytes(pid, va + 64, b"parent-after-fork").unwrap();
-    sys.write_bytes(child, va + 4096 + 128, b"child-after-fork").unwrap();
-    sys.write_bytes(child, va + 4096 * 5, &[0xA5; 256]).unwrap();
-    // Reads force decryption through the same counters.
-    let parent_view = sys.read_bytes(pid, va, 4096).unwrap();
-    let child_view = sys.read_bytes(child, va, 4096).unwrap();
-    assert_ne!(parent_view[64..81], child_view[64..81]);
-    let metrics = format!("{:?}", sys.finish());
-    // Fingerprint the first 2 MB of physical NVM: these are the real
-    // stored ciphertexts, so identical fingerprints mean identical
-    // on-"device" bytes, not merely identical decrypted views.
-    let lines = (0..(2 << 20) / LINE_BYTES as u64)
-        .map(|i| sys.controller().peek_raw_line(PhysAddr::new(i * LINE_BYTES as u64)))
-        .collect();
-    (metrics, lines)
+/// The reference cipher's one-time pad for `iv`: the byte-oriented
+/// AES over the engine's IV blocks.
+fn reference_pad(aes: &reference::Aes128, iv: IvSpec) -> [u8; LINE_BYTES] {
+    let mut pad = [0u8; LINE_BYTES];
+    for (i, block) in CtrEngine::iv_blocks(iv).into_iter().enumerate() {
+        pad[16 * i..16 * i + 16].copy_from_slice(&aes.encrypt_block(block));
+    }
+    pad
 }
 
 #[test]
 fn simulator_is_bit_identical_under_reference_aes() {
     for strategy in CowStrategy::all() {
-        let fast = run_scenario(SimConfig::new(strategy, PageSize::Regular4K));
-        let slow = run_scenario(SimConfig::new(strategy, PageSize::Regular4K).with_reference_aes());
-        assert_eq!(fast.0, slow.0, "metrics diverged between AES backends under {strategy}");
-        assert_eq!(
-            fast.1, slow.1,
-            "raw NVM ciphertexts diverged between AES backends under {strategy}"
-        );
+        let mut s = golden::fastpath_scenario(strategy);
+        // The scenario's metrics, events, root and raw-NVM fingerprint
+        // are the golden cell recorded under the reference AES backend.
+        golden::assert_committed(&golden::render_fastpath(strategy, &mut s));
+
+        // Every line stored under its own region's counters must be the
+        // reference cipher's encryption of what the process reads back.
+        let config = s.sys.controller().config().clone();
+        let layout = MetadataLayout::for_data_bytes(config.data_bytes);
+        let encoding = config.scheme.encoding();
+        let aes = reference::Aes128::new(config.key);
+        let mut checked = 0;
+        for pid in s.pids {
+            for page in 0..golden::SCENARIO_BYTES / 4096 {
+                let va = s.va + page * 4096;
+                let frame = s.sys.kernel().translate(pid, va).expect("page is mapped");
+                let region = frame.as_u64() / REGION_BYTES;
+                let counters =
+                    s.sys.controller().peek_raw_line(layout.counter_addr_of_region(region));
+                let block = counter_block::reference::decode(&counters, encoding);
+                let plain = s.sys.read_bytes(pid, va, 4096).unwrap();
+                for line in 0..4096 / LINE_BYTES {
+                    // Minor 0 marks a line held elsewhere: zero-initialized
+                    // (Silent Shredder) or not yet copied (Lelantus).
+                    if block.minors[line] == 0 {
+                        continue;
+                    }
+                    let addr = frame.as_u64() + (line * LINE_BYTES) as u64;
+                    let iv =
+                        IvSpec { line_addr: addr, major: block.major, minor: block.minors[line] };
+                    let plain: [u8; LINE_BYTES] =
+                        plain[line * LINE_BYTES..][..LINE_BYTES].try_into().unwrap();
+                    assert_eq!(
+                        s.sys.controller().peek_raw_line(PhysAddr::new(addr)),
+                        xor_line(&plain, &reference_pad(&aes, iv)),
+                        "stored ciphertext at {addr:#x} is not the reference encryption under {strategy}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 64, "only {checked} lines checked under {strategy}");
     }
 }

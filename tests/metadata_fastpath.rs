@@ -2,62 +2,65 @@
 //! codec, the deferred (write-combined) Merkle maintenance, and the
 //! MAC-line write combiner must be *observationally invisible*.
 //!
-//! `SimConfig::with_reference_metadata` runs the controller with the
-//! original bit-by-bit codec, eager per-write tree maintenance, and no
-//! MAC combining. This suite drives real workloads (forkbench and
+//! The reference shapes — the bit-by-bit codec
+//! (`counter_block::reference`), eager per-write tree maintenance and
+//! uncombined MAC updates — are no longer selectable in the
+//! controller. This suite drives real workloads (forkbench and
 //! rediswl, the paper's two most copy-intensive signatures) under
-//! every CoW scheme in both shapes and requires bit-identical
-//! `SimMetrics`, identical probe event streams, and identical Merkle
-//! roots. A regression here means a host-side "optimization" leaked
-//! into simulated behaviour.
+//! every CoW scheme and requires bit-identical `SimMetrics`, probe
+//! event streams and Merkle roots to the golden cells recorded while
+//! the reference shapes ran, then re-checks the final NVM image with
+//! the reference codec and an eagerly maintained tree. A regression
+//! here means a host-side "optimization" leaked into simulated
+//! behaviour.
 
+mod golden;
+
+use lelantus::crypto::merkle::MerkleTree;
+use lelantus::metadata::counter_block::{reference, CounterBlock};
+use lelantus::metadata::layout::MetadataLayout;
 use lelantus::os::CowStrategy;
-use lelantus::sim::{Event, RingProbe, SimConfig, SimMetrics, System};
+use lelantus::sim::{RingProbe, SimConfig, System};
 use lelantus::types::PageSize;
-use lelantus::workloads::{forkbench::Forkbench, rediswl::Redis, Workload, WorkloadRun};
+use lelantus::workloads::{forkbench::Forkbench, rediswl::Redis, Workload};
 
-/// Everything the fast path could conceivably perturb.
-struct Observation {
-    measured: SimMetrics,
-    final_metrics: SimMetrics,
-    events: Vec<Event>,
-    merkle_root: u64,
-}
+/// Key of the controller's Bonsai Merkle tree over counter blocks.
+const MERKLE_KEY: (u64, u64) = (0x6c65_6c61_6e74_7573, 0x6973_6361_3230_3230);
 
-fn observe(config: SimConfig, workload: &dyn Workload<RingProbe>) -> Observation {
-    let mut sys = System::with_probe(config, RingProbe::new(1 << 20));
-    let WorkloadRun { measured, .. } = workload.run(&mut sys).expect("workload runs");
-    let final_metrics = sys.finish();
-    let merkle_root = sys.merkle_root();
-    let events = sys.probe().events();
-    Observation { measured, final_metrics, events, merkle_root }
+/// Every stored counter block must be exactly what the reference codec
+/// encodes, and an eagerly maintained tree over the stored blocks must
+/// reach the controller's root.
+fn assert_nvm_matches_reference(sys: &mut System<RingProbe>, what: &str) {
+    let config = sys.controller().config().clone();
+    let layout = MetadataLayout::for_data_bytes(config.data_bytes);
+    let encoding = config.scheme.encoding();
+    let mut eager = MerkleTree::new(layout.regions() as usize, MERKLE_KEY, 64);
+    let mut checked = 0;
+    for region in 0..layout.regions() {
+        let bytes = sys.controller().peek_raw_line(layout.counter_addr_of_region(region));
+        if bytes == [0; 64] {
+            continue;
+        }
+        let block = reference::decode(&bytes, encoding);
+        assert_eq!(CounterBlock::decode(&bytes, encoding), block, "decode of {region}: {what}");
+        assert_eq!(
+            reference::encode(&block, encoding),
+            bytes,
+            "reference encode of {region}: {what}"
+        );
+        assert_eq!(block.encode(encoding), bytes, "encode of {region}: {what}");
+        eager.update_leaf(region as usize, &bytes);
+        checked += 1;
+    }
+    assert!(checked > 0, "no counter block stored: {what}");
+    assert_eq!(eager.root(), sys.merkle_root(), "Merkle roots diverged: {what}");
 }
 
 fn assert_equivalent(workload: &dyn Workload<RingProbe>, strategy: CowStrategy) {
-    let fast = observe(SimConfig::new(strategy, PageSize::Regular4K), workload);
-    let slow =
-        observe(SimConfig::new(strategy, PageSize::Regular4K).with_reference_metadata(), workload);
-    let name = workload.name();
-    assert_eq!(
-        fast.measured, slow.measured,
-        "measured metrics diverged for {name} under {strategy}"
-    );
-    assert_eq!(
-        fast.final_metrics, slow.final_metrics,
-        "final metrics diverged for {name} under {strategy}"
-    );
-    assert_eq!(
-        fast.merkle_root, slow.merkle_root,
-        "Merkle roots diverged for {name} under {strategy}"
-    );
-    assert_eq!(
-        fast.events.len(),
-        slow.events.len(),
-        "event counts diverged for {name} under {strategy}"
-    );
-    for (i, (f, s)) in fast.events.iter().zip(&slow.events).enumerate() {
-        assert_eq!(f, s, "event {i} diverged for {name} under {strategy}");
-    }
+    let (line, mut sys) =
+        golden::run_workload_cell("metadata", workload, strategy, PageSize::Regular4K, None);
+    golden::assert_committed(&line);
+    assert_nvm_matches_reference(&mut sys, &format!("{} under {strategy}", workload.name()));
 }
 
 #[test]

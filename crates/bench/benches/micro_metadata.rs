@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the metadata fast path: the word-level
 //! counter-block codec against the bit-by-bit reference, the MAC-line
-//! (de)serializers, and Merkle maintenance in both eager and deferred
-//! shapes.
+//! (de)serializers, Merkle maintenance in both eager and deferred
+//! shapes, and the per-access cost of the on-chip metadata caches and
+//! the NVM write queue at the controller's default sizes.
 //!
 //! This target is also the performance gate for the codec fast path:
 //! it *asserts* that the word-level encoder and decoder run at least
@@ -12,8 +13,10 @@ use lelantus_bench::harness::bench;
 use lelantus_bench::results::{timed_emit, Record};
 use lelantus_crypto::MerkleTree;
 use lelantus_metadata::counter_block::reference;
-use lelantus_metadata::mac::{decode_mac_line, encode_mac_line};
-use lelantus_metadata::{CounterBlock, CounterEncoding};
+use lelantus_metadata::mac::{decode_mac_line, encode_mac_line, MacCache};
+use lelantus_metadata::{CounterBlock, CounterEncoding, CowCache};
+use lelantus_nvm::write_queue::WriteQueue;
+use lelantus_types::{Cycles, PhysAddr};
 use std::hint::black_box;
 
 fn main() {
@@ -93,6 +96,62 @@ fn main() {
             warm.verify_leaf(black_box(1234), black_box(&leaf_data)).unwrap()
         });
         ms.extend([eager_sweep.clone(), deferred_sweep.clone(), verify_cold, verify_cached]);
+
+        // --- on-chip metadata caches and the write queue ---------------
+        // One op each, at the controller's default sizes (1024 MAC
+        // lines, 4096 CoW mappings, 512 Merkle nodes, 64 queued
+        // writes). Keys come from a fixed LCG so hits, misses and
+        // evictions mix the same way on every run.
+        let mut lcg = 1u64;
+        let mut next_key = move |range: u64| {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (lcg >> 33) % range
+        };
+        let mut mac_cache = MacCache::new(1024);
+        let mac_fill_get = bench("mac_cache_fill_get_1024", || {
+            // 1536 lines through 1024 slots: about two thirds hit, the
+            // rest fill and evict (half of the victims dirty).
+            let index = next_key(1536);
+            match mac_cache.get(index) {
+                Some(line) => line[0],
+                None => mac_cache.fill(index, macs, index % 2 == 0).map_or(0, |v| v.index),
+            }
+        });
+        let mut cow_cache = CowCache::paper_default();
+        for region in 0..4096 {
+            cow_cache.fill(region, Some(region));
+        }
+        let mut region = 4096u64;
+        let cow_fill_full = bench("cow_cache_fill_full_4096", || {
+            // Every fill is a new region into a full cache: the
+            // eviction path.
+            region += 1;
+            cow_cache.fill(black_box(region), Some(region));
+        });
+        let mut tree = MerkleTree::new(65536, (1, 2), 512).with_deferred_maintenance();
+        let mut updates = 0u64;
+        let merkle_update = bench("merkle_update_leaf_flush64", || {
+            // Scattered leaves, flushed every 64 updates as the
+            // controller flushes at its command boundaries.
+            let walk = tree.update_leaf(next_key(65536) as usize, &leaf_data);
+            updates += 1;
+            if updates % 64 == 0 {
+                tree.flush();
+            }
+            walk
+        });
+        let mut queue = WriteQueue::new(64);
+        let mut line = 0u64;
+        for _ in 0..64 {
+            line += 1;
+            queue.push(PhysAddr::new(line * 64), [0; 64], Cycles::ZERO);
+        }
+        let wq_push_full = bench("write_queue_push_full_64", || {
+            // A new line into a full queue drains the oldest entry.
+            line += 1;
+            queue.push(PhysAddr::new(black_box(line) * 64), [1; 64], Cycles::ZERO)
+        });
+        ms.extend([mac_fill_get, cow_fill_full, merkle_update, wq_push_full]);
 
         // --- the fast-path claims --------------------------------------
         let enc_speedup = word_enc.speedup_over(&ref_enc);

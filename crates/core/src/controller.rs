@@ -41,8 +41,7 @@ use lelantus_obs::{
     selfprof, CycleCategory, Event, EventKind, HeatGrid, HeatLane, HistKind, NullProbe, Probe,
     Segment,
 };
-use lelantus_types::{Cycles, PhysAddr, LINE_BYTES, REGION_BYTES};
-use std::collections::HashSet;
+use lelantus_types::{Cycles, FastHashSet, PhysAddr, LINE_BYTES, REGION_BYTES};
 
 /// Key of the Bonsai Merkle tree over counter blocks.
 const MERKLE_KEY: (u64, u64) = (0x6c65_6c61_6e74_7573, 0x6973_6361_3230_3230);
@@ -75,13 +74,15 @@ pub struct SecureMemoryController<P: Probe = NullProbe> {
     mac_cache: MacCache,
     /// MAC write combiner: the line index currently being swept plus
     /// the `(slot, tag)` updates buffered for it. Holds only
-    /// resident-path updates and is flushed (replayed tick-exactly via
-    /// [`MacCache::update_tags`]) before any other MAC-cache access,
+    /// resident-path updates and is flushed (replayed as one LRU
+    /// promotion via [`MacCache::update_tags`], which leaves the same
+    /// recency order as one promotion per update) before any other
+    /// MAC-cache access,
     /// so nothing simulated can observe the buffering.
     mac_wc: Option<(u64, Vec<(usize, u64)>)>,
     mac_key: SipHash24,
     layout: MetadataLayout,
-    initialized_regions: HashSet<u64>,
+    initialized_regions: FastHashSet<u64>,
     /// The Merkle root as persisted in the controller's small
     /// battery/NVM register domain — the trust anchor recovery
     /// verifies against.
@@ -152,7 +153,7 @@ impl<P: Probe> SecureMemoryController<P> {
             mac_wc: None,
             mac_key: SipHash24::new(DATA_MAC_KEY.0, DATA_MAC_KEY.1),
             layout,
-            initialized_regions: HashSet::new(),
+            initialized_regions: FastHashSet::default(),
             persisted_root,
             stats: ControllerStats::default(),
             footprint: FootprintTracker::default(),
@@ -343,7 +344,7 @@ impl<P: Probe> SecureMemoryController<P> {
     /// Flushes deferred host-side metadata maintenance — pending
     /// combined MAC updates and stale Merkle interior nodes — and
     /// re-syncs the persisted root register. Purely host-side: no
-    /// simulated traffic, cache tick, or statistic moves. Called at the
+    /// simulated traffic, cache recency, or statistic moves. Called at the
     /// controller's flush points (writeback drains, page-copy
     /// commands, epoch boundaries).
     pub fn flush_metadata(&mut self) {
@@ -581,7 +582,7 @@ impl<P: Probe> SecureMemoryController<P> {
     }
 
     /// Applies the buffered combined MAC-line updates to the cache in
-    /// one batched access with exact LRU ticks. Must run before any
+    /// one batched access with the exact LRU order. Must run before any
     /// other MAC-cache access.
     fn mac_wc_flush(&mut self) {
         if let Some((index, pending)) = self.mac_wc.take() {
@@ -673,7 +674,7 @@ impl<P: Probe> SecureMemoryController<P> {
                 // touch below established that, and every other cache
                 // access flushes the buffer first), so this is the
                 // resident update path — buffer it and let
-                // `mac_wc_flush` replay the batch tick-exactly.
+                // `mac_wc_flush` replay the batch in LRU order.
                 pending.push((slot, tag));
                 return now + Cycles::new(1);
             }

@@ -6,8 +6,8 @@
 //! lines the application actually uses. This tracker records, per 4 KB
 //! region, a 64-bit bitmap of lines physically read and written.
 
+use lelantus_types::FastHashMap;
 use lelantus_types::{PhysAddr, LINE_BYTES, REGION_BYTES};
-use std::collections::HashMap;
 
 /// Which direction an access was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,7 @@ impl RegionFootprint {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FootprintTracker {
-    regions: HashMap<u64, RegionFootprint>,
+    regions: FastHashMap<u64, RegionFootprint>,
 }
 
 impl FootprintTracker {

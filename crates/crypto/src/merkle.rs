@@ -22,13 +22,13 @@
 //! its leaf dirty and ancestors are rehashed once per
 //! [`MerkleTree::flush`] point, so a page sweep that bumps 64
 //! neighbouring counters recomputes their shared ancestors once instead
-//! of 64 times. The cache-model walk (LRU ticks, hits, `WalkStats`) is
+//! of 64 times. The cache-model walk (LRU order, hits, `WalkStats`) is
 //! performed identically in both modes, and verification force-flushes
 //! pending subtrees first, so nothing simulated can observe the
 //! difference.
 
 use crate::siphash::SipHash24;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use lelantus_types::LruMap;
 
 /// Tree fan-out. Eight 64-bit child digests fit one 64-byte metadata
 /// line, mirroring how BMT nodes are laid out in NVM.
@@ -85,19 +85,17 @@ pub struct MerkleTree {
     hasher: SipHash24,
     /// levels[0] = leaf digests, last level = [root].
     levels: Vec<Vec<u64>>,
-    /// LRU node cache: maps (level, index) -> lru tick. Nodes present
-    /// here are trusted on-chip copies.
-    cache: HashMap<(usize, usize), u64>,
-    /// Reverse index tick -> node for O(log n) eviction. Ticks are
-    /// unique (strictly monotonic), so the smallest key is exactly the
-    /// node a linear min-scan would have picked.
-    lru: BTreeMap<u64, (usize, usize)>,
+    /// LRU node cache keyed by [`node_key`]. Nodes present here are
+    /// trusted on-chip copies.
+    cache: LruMap<u64, ()>,
     cache_capacity: usize,
-    tick: u64,
     /// When set, interior-node hashing is deferred to [`Self::flush`];
-    /// `dirty_leaves` holds the leaves whose ancestor paths are stale.
+    /// `dirty_leaves` lists (unsorted, each once) the leaves whose
+    /// ancestor paths are stale, and `dirty_mark` is its membership
+    /// bitmap (one bit per leaf, allocated only in deferred mode).
     deferred: bool,
-    dirty_leaves: BTreeSet<usize>,
+    dirty_leaves: Vec<usize>,
+    dirty_mark: Vec<u64>,
     /// When set, every node-cache miss appends the tree level of the
     /// fetched node line to `touches` (drained by the controller's
     /// spatial heatmap; see [`Self::with_touch_log`]).
@@ -115,6 +113,7 @@ impl MerkleTree {
     /// Panics if `num_leaves` is zero.
     pub fn new(num_leaves: usize, key: (u64, u64), cache_capacity: usize) -> Self {
         assert!(num_leaves > 0, "tree must cover at least one counter block");
+        assert!(num_leaves <= 1 << 40, "tree of {num_leaves} leaves overflows node keys");
         let hasher = SipHash24::new(key.0, key.1);
         let mut levels = vec![vec![hasher.hash(b""); num_leaves]];
         while levels.last().expect("nonempty").len() > 1 {
@@ -127,12 +126,11 @@ impl MerkleTree {
         Self {
             hasher,
             levels,
-            cache: HashMap::new(),
-            lru: BTreeMap::new(),
+            cache: LruMap::new(),
             cache_capacity,
-            tick: 0,
             deferred: false,
-            dirty_leaves: BTreeSet::new(),
+            dirty_leaves: Vec::new(),
+            dirty_mark: Vec::new(),
             record_touches: false,
             touches: Vec::new(),
         }
@@ -175,6 +173,7 @@ impl MerkleTree {
     /// model are unaffected.
     pub fn with_deferred_maintenance(mut self) -> Self {
         self.deferred = true;
+        self.dirty_mark = vec![0; self.num_leaves().div_ceil(64)];
         self
     }
 
@@ -209,39 +208,27 @@ impl MerkleTree {
         self.dirty_leaves.len()
     }
 
-    /// Moves a node to the LRU front under a fresh tick.
-    fn lru_bump(&mut self, level: usize, idx: usize) {
-        self.tick += 1;
-        if let Some(old) = self.cache.insert((level, idx), self.tick) {
-            self.lru.remove(&old);
-        }
-        self.lru.insert(self.tick, (level, idx));
-    }
-
-    fn cache_touch(&mut self, level: usize, idx: usize) {
-        // The root is always trusted; do not occupy cache space for it.
+    /// Accesses a node through the cache: promotes it to most recently
+    /// used (inserting it on a miss, then evicting the LRU node if the
+    /// cache overflows) and reports whether it was already trusted.
+    /// The root is always on-chip and occupies no cache space.
+    fn cache_access(&mut self, level: usize, idx: usize) -> bool {
         if level + 1 == self.levels.len() {
-            return;
+            return true;
         }
-        self.lru_bump(level, idx);
+        if self.cache.insert(node_key(level, idx), ()).is_some() {
+            return true;
+        }
         if self.cache.len() > self.cache_capacity {
-            // Smallest tick = least recently used.
-            if let Some((_, victim)) = self.lru.pop_first() {
-                self.cache.remove(&victim);
-            }
+            self.cache.pop_lru();
         }
+        false
     }
 
+    /// Whether a node is trusted, promoting it if so (a miss inserts
+    /// nothing).
     fn cache_hit(&mut self, level: usize, idx: usize) -> bool {
-        if level + 1 == self.levels.len() {
-            return true; // root: always on-chip
-        }
-        if self.cache.contains_key(&(level, idx)) {
-            self.lru_bump(level, idx);
-            true
-        } else {
-            false
-        }
+        level + 1 == self.levels.len() || self.cache.get(&node_key(level, idx)).is_some()
     }
 
     /// Recomputes the digest path after `data` was written to leaf
@@ -255,10 +242,14 @@ impl MerkleTree {
         let hasher = self.hasher;
         let mut stats = WalkStats::default();
         self.levels[0][leaf] = hasher.hash(data);
-        self.cache_touch(0, leaf);
+        self.cache_access(0, leaf);
         stats.nodes_written += 1;
         if self.deferred {
-            self.dirty_leaves.insert(leaf);
+            let (word, bit) = (leaf / 64, 1u64 << (leaf % 64));
+            if self.dirty_mark[word] & bit == 0 {
+                self.dirty_mark[word] |= bit;
+                self.dirty_leaves.push(leaf);
+            }
         }
         let mut idx = leaf;
         for level in 0..self.levels.len() - 1 {
@@ -271,13 +262,12 @@ impl MerkleTree {
             // the node was not cached. This cost-model walk runs the
             // same in both modes — deferral skips only the host-side
             // hashing above.
-            if !self.cache_hit(level + 1, parent) {
+            if !self.cache_access(level + 1, parent) {
                 stats.nodes_fetched += 1;
                 if self.record_touches {
                     self.touches.push((level + 1).min(u8::MAX as usize) as u8);
                 }
             }
-            self.cache_touch(level + 1, parent);
             stats.nodes_written += 1;
             stats.levels_walked += 1;
             idx = parent;
@@ -296,9 +286,13 @@ impl MerkleTree {
         }
         let hasher = self.hasher;
         let mut recomputed = 0;
-        // BTreeSet iterates ascending, so each level's parent list is
-        // sorted and plain dedup coalesces shared ancestors.
-        let mut dirty: Vec<usize> = std::mem::take(&mut self.dirty_leaves).into_iter().collect();
+        // Sorted leaves give sorted parent lists on every level, so
+        // plain dedup coalesces shared ancestors.
+        let mut dirty = std::mem::take(&mut self.dirty_leaves);
+        dirty.sort_unstable();
+        for &leaf in &dirty {
+            self.dirty_mark[leaf / 64] = 0;
+        }
         for level in 0..self.levels.len() - 1 {
             let mut parents: Vec<usize> = dirty.iter().map(|&i| i / ARITY).collect();
             parents.dedup();
@@ -359,14 +353,12 @@ impl MerkleTree {
             if recomputed != self.levels[level + 1][parent] {
                 return Err(TamperError { leaf, level: level + 1 });
             }
-            let trusted = self.cache_hit(level + 1, parent);
-            self.cache_touch(level + 1, parent);
-            if trusted {
+            if self.cache_access(level + 1, parent) {
                 break;
             }
             idx = parent;
         }
-        self.cache_touch(0, leaf);
+        self.cache_access(0, leaf);
         Ok(stats)
     }
 
@@ -374,16 +366,115 @@ impl MerkleTree {
     /// fault-injection; models an attacker flipping NVM bits).
     pub fn corrupt_leaf_digest(&mut self, leaf: usize) {
         self.levels[0][leaf] ^= 0xdead_beef;
-        if let Some(t) = self.cache.remove(&(0, leaf)) {
-            self.lru.remove(&t);
-        }
+        self.cache.remove(&node_key(0, leaf));
     }
+}
+
+/// Node-cache key of node `idx` at tree level `level`. A tree of up to
+/// 2^40 leaves has at most 2^37 nodes per interior level, so the packed
+/// fields never overlap.
+#[inline(always)]
+fn node_key(level: usize, idx: usize) -> u64 {
+    ((level as u64) << 40) | idx as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The node-cache cost model this tree used before [`LruMap`]:
+    /// `(level, index)` -> tick in a `HashMap`, a reverse `BTreeMap`
+    /// tick index for eviction, and the hit-then-touch walk. It keeps
+    /// no digests, so it reproduces the [`WalkStats`] of untampered
+    /// walks only; it is the oracle for the rebuilt cache.
+    struct TickWalkModel {
+        depth: usize,
+        cache: std::collections::HashMap<(usize, usize), u64>,
+        lru: std::collections::BTreeMap<u64, (usize, usize)>,
+        capacity: usize,
+        tick: u64,
+    }
+
+    impl TickWalkModel {
+        fn new(num_leaves: usize, capacity: usize) -> Self {
+            let mut depth = 1;
+            let mut width = num_leaves;
+            while width > 1 {
+                width = width.div_ceil(ARITY);
+                depth += 1;
+            }
+            Self { depth, cache: Default::default(), lru: Default::default(), capacity, tick: 0 }
+        }
+
+        fn bump(&mut self, node: (usize, usize)) {
+            self.tick += 1;
+            if let Some(old) = self.cache.insert(node, self.tick) {
+                self.lru.remove(&old);
+            }
+            self.lru.insert(self.tick, node);
+        }
+
+        fn touch(&mut self, level: usize, idx: usize) {
+            if level + 1 == self.depth {
+                return;
+            }
+            self.bump((level, idx));
+            if self.cache.len() > self.capacity {
+                let (_, victim) = self.lru.pop_first().expect("nonempty");
+                self.cache.remove(&victim);
+            }
+        }
+
+        fn hit(&mut self, level: usize, idx: usize) -> bool {
+            if level + 1 == self.depth {
+                return true;
+            }
+            let present = self.cache.contains_key(&(level, idx));
+            if present {
+                self.bump((level, idx));
+            }
+            present
+        }
+
+        fn update(&mut self, leaf: usize) -> WalkStats {
+            let mut stats = WalkStats { nodes_written: 1, ..WalkStats::default() };
+            self.touch(0, leaf);
+            let mut idx = leaf;
+            for level in 0..self.depth - 1 {
+                let parent = idx / ARITY;
+                if !self.hit(level + 1, parent) {
+                    stats.nodes_fetched += 1;
+                }
+                self.touch(level + 1, parent);
+                stats.nodes_written += 1;
+                stats.levels_walked += 1;
+                idx = parent;
+            }
+            stats
+        }
+
+        fn verify(&mut self, leaf: usize) -> WalkStats {
+            let mut stats = WalkStats::default();
+            if self.hit(0, leaf) {
+                return stats;
+            }
+            let mut idx = leaf;
+            for level in 0..self.depth - 1 {
+                let parent = idx / ARITY;
+                stats.levels_walked += 1;
+                stats.nodes_fetched += 1;
+                let trusted = self.hit(level + 1, parent);
+                self.touch(level + 1, parent);
+                if trusted {
+                    break;
+                }
+                idx = parent;
+            }
+            self.touch(0, leaf);
+            stats
+        }
+    }
 
     fn tree(leaves: usize) -> MerkleTree {
         MerkleTree::new(leaves, (0x1234, 0x5678), 32)
@@ -591,6 +682,35 @@ mod tests {
                 let mut wrong = data.clone();
                 wrong.push(0xFF);
                 prop_assert!(t.verify_leaf(*leaf, &wrong).is_err());
+            }
+        }
+
+        /// Update and verify walks report exactly the traffic of the
+        /// tick-stamped node cache the tree used to carry, across cache
+        /// sizes that evict constantly (1, 8) and rarely (64).
+        #[test]
+        fn prop_walks_match_tick_stamped_cache(
+            ops in prop::collection::vec((0usize..4096, any::<u8>(), any::<bool>()), 1..300),
+            cap_pick in 0usize..3,
+            narrow in any::<bool>(),
+        ) {
+            let capacity = [1, 8, 64][cap_pick];
+            let mut tree = MerkleTree::new(4096, (5, 6), capacity).with_deferred_maintenance();
+            let mut model = TickWalkModel::new(4096, capacity);
+            let mut contents = vec![Vec::new(); 4096];
+            for (i, &(leaf, byte, update)) in ops.iter().enumerate() {
+                // Narrow soups revisit a few subtrees so paths share nodes.
+                let leaf = if narrow { leaf % 80 } else { leaf };
+                if update {
+                    contents[leaf] = vec![byte; 5];
+                    prop_assert_eq!(tree.update_leaf(leaf, &contents[leaf]), model.update(leaf), "update #{}", i);
+                } else {
+                    prop_assert_eq!(
+                        tree.verify_leaf(leaf, &contents[leaf]).unwrap(),
+                        model.verify(leaf),
+                        "verify #{}", i
+                    );
+                }
             }
         }
 

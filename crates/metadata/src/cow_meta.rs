@@ -14,7 +14,7 @@
 //! controller charges NVM traffic for table reads/writes that miss the
 //! cache.
 
-use std::collections::HashMap;
+use lelantus_types::{FastHashMap, LruMap};
 
 /// The in-NVM mapping `region → source region` for CoW pages.
 ///
@@ -36,7 +36,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CowMetaTable {
-    slots: HashMap<u64, u64>,
+    slots: FastHashMap<u64, u64>,
 }
 
 impl CowMetaTable {
@@ -126,9 +126,9 @@ impl CowCacheStats {
 /// has no source" is as useful as the source itself.
 #[derive(Debug, Clone)]
 pub struct CowCache {
-    entries: HashMap<u64, (Option<u64>, u64)>,
+    /// Region -> cached mapping, in recency order.
+    entries: LruMap<u64, Option<u64>>,
     capacity: usize,
-    tick: u64,
     stats: CowCacheStats,
 }
 
@@ -140,7 +140,7 @@ impl CowCache {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "CoW cache needs capacity");
-        Self { entries: HashMap::new(), capacity, tick: 0, stats: CowCacheStats::default() }
+        Self { entries: LruMap::new(), capacity, stats: CowCacheStats::default() }
     }
 
     /// The paper's default: 32 KB of the counter cache, 8 B per entry.
@@ -156,12 +156,9 @@ impl CowCache {
     /// Looks up `region`. `Some(mapping)` on hit (the mapping itself
     /// may be `None` = "known to have no source"), `None` on miss.
     pub fn lookup(&mut self, region: u64) -> Option<Option<u64>> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((mapping, lru)) = self.entries.get_mut(&region) {
-            *lru = tick;
+        if let Some(&mut mapping) = self.entries.get(&region) {
             self.stats.hits += 1;
-            Some(*mapping)
+            Some(mapping)
         } else {
             self.stats.misses += 1;
             None
@@ -171,18 +168,10 @@ impl CowCache {
     /// Fills `region`'s mapping after an NVM table read (or updates it
     /// after a command), evicting LRU if full.
     pub fn fill(&mut self, region: u64, mapping: Option<u64>) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.get_mut(&region) {
-            *e = (mapping, tick);
-            return;
+        if !self.entries.contains_key(&region) && self.entries.len() >= self.capacity {
+            self.entries.pop_lru();
         }
-        if self.entries.len() >= self.capacity {
-            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, (_, lru))| *lru) {
-                self.entries.remove(&victim);
-            }
-        }
-        self.entries.insert(region, (mapping, tick));
+        self.entries.insert(region, mapping);
     }
 
     /// Drops `region` from the cache (e.g. on `page_free`).
@@ -204,6 +193,90 @@ impl CowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `CowCache` this module used before [`LruMap`]: tick-stamped
+    /// entries and an O(capacity) minimum-tick scan per eviction. Kept
+    /// as the oracle for its replacement.
+    struct ScanCowCache {
+        entries: std::collections::HashMap<u64, (Option<u64>, u64)>,
+        capacity: usize,
+        tick: u64,
+        stats: CowCacheStats,
+    }
+
+    impl ScanCowCache {
+        fn new(capacity: usize) -> Self {
+            Self { entries: Default::default(), capacity, tick: 0, stats: CowCacheStats::default() }
+        }
+
+        fn lookup(&mut self, region: u64) -> Option<Option<u64>> {
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some((mapping, lru)) = self.entries.get_mut(&region) {
+                *lru = tick;
+                self.stats.hits += 1;
+                Some(*mapping)
+            } else {
+                self.stats.misses += 1;
+                None
+            }
+        }
+
+        fn fill(&mut self, region: u64, mapping: Option<u64>) {
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some(e) = self.entries.get_mut(&region) {
+                *e = (mapping, tick);
+                return;
+            }
+            if self.entries.len() >= self.capacity {
+                if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, (_, lru))| *lru) {
+                    self.entries.remove(&victim);
+                }
+            }
+            self.entries.insert(region, (mapping, tick));
+        }
+
+        fn invalidate(&mut self, region: u64) {
+            self.entries.remove(&region);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `CowCache` on `LruMap` hits, misses and evicts exactly like
+        /// the min-scan cache it replaced, full at 1, 8 and 4096
+        /// entries.
+        #[test]
+        fn prop_matches_min_scan_cache(
+            ops in prop::collection::vec((0u8..100, 0u64..6144, any::<u64>()), 1..12000),
+            cap_pick in 0usize..3,
+        ) {
+            let capacity = [1, 8, 4096][cap_pick];
+            let keys = if capacity == 4096 { 6144 } else { 3 * capacity as u64 };
+            let mut fast = CowCache::new(capacity);
+            let mut oracle = ScanCowCache::new(capacity);
+            for (i, &(kind, key, v)) in ops.iter().enumerate() {
+                let region = key % keys;
+                match kind {
+                    0..=44 => prop_assert_eq!(fast.lookup(region), oracle.lookup(region), "lookup #{}", i),
+                    45..=92 => {
+                        let mapping = (v % 3 != 0).then_some(v);
+                        fast.fill(region, mapping);
+                        oracle.fill(region, mapping);
+                    }
+                    _ => {
+                        fast.invalidate(region);
+                        oracle.invalidate(region);
+                    }
+                }
+                prop_assert_eq!(fast.len(), oracle.entries.len());
+            }
+            prop_assert_eq!(fast.stats(), oracle.stats);
+        }
+    }
 
     #[test]
     fn table_roundtrip_and_slot_encoding() {

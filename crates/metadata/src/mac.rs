@@ -9,7 +9,7 @@
 //! 64-byte metadata line, placed by [`crate::MetadataLayout`]) and the
 //! memory controller computes them with its keyed hash.
 
-use std::collections::{BTreeMap, HashMap};
+use lelantus_types::LruMap;
 
 /// Number of 8-byte MACs per 64-byte metadata line.
 pub const MACS_PER_LINE: usize = 8;
@@ -65,13 +65,9 @@ pub struct EvictedMacLine {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MacCache {
-    entries: HashMap<u64, (MacLine, bool, u64)>,
-    /// Reverse index lru-tick -> line index for O(log n) eviction.
-    /// Ticks are unique (strictly monotonic per assignment), so the
-    /// smallest key is exactly the line a linear min-scan would pick.
-    lru: BTreeMap<u64, u64>,
+    /// Line index -> (tags, dirty), in recency order.
+    entries: LruMap<u64, (MacLine, bool)>,
     capacity: usize,
-    tick: u64,
     stats: MacCacheStats,
 }
 
@@ -83,13 +79,7 @@ impl MacCache {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MAC cache needs capacity");
-        Self {
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            capacity,
-            tick: 0,
-            stats: MacCacheStats::default(),
-        }
+        Self { entries: LruMap::new(), capacity, stats: MacCacheStats::default() }
     }
 
     /// Accumulated counters.
@@ -99,14 +89,8 @@ impl MacCache {
 
     /// Looks up MAC line `index`, updating LRU and hit/miss counters.
     pub fn get(&mut self, index: u64) -> Option<MacLine> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(&index) {
-            Some((line, _, lru)) => {
-                let line = *line;
-                let old = std::mem::replace(lru, tick);
-                self.lru.remove(&old);
-                self.lru.insert(tick, index);
+        match self.entries.get(&index) {
+            Some(&mut (line, _)) => {
                 self.stats.hits += 1;
                 Some(line)
             }
@@ -120,20 +104,13 @@ impl MacCache {
     /// Inserts a MAC line (fill after an NVM read, or a fresh update).
     /// Returns a dirty victim that must be written back.
     pub fn fill(&mut self, index: u64, macs: MacLine, dirty: bool) -> Option<EvictedMacLine> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.get_mut(&index) {
+        if let Some(e) = self.entries.get(&index) {
             e.0 = macs;
             e.1 |= dirty;
-            let old = std::mem::replace(&mut e.2, tick);
-            self.lru.remove(&old);
-            self.lru.insert(tick, index);
             return None;
         }
         let victim = if self.entries.len() >= self.capacity {
-            // Smallest tick = least recently used.
-            self.lru.pop_first().and_then(|(_, k)| {
-                let (line, was_dirty, _) = self.entries.remove(&k).expect("present");
+            self.entries.pop_lru().and_then(|(k, (line, was_dirty))| {
                 if was_dirty {
                     self.stats.writebacks += 1;
                     Some(EvictedMacLine { index: k, macs: line })
@@ -144,8 +121,7 @@ impl MacCache {
         } else {
             None
         };
-        self.entries.insert(index, (macs, dirty, tick));
-        self.lru.insert(tick, index);
+        self.entries.insert(index, (macs, dirty));
         victim
     }
 
@@ -157,30 +133,25 @@ impl MacCache {
 
     /// Applies a batch of `(slot, tag)` writes to one (resident) MAC
     /// line in order, marking it dirty. Exactly equivalent to that many
-    /// sequential [`MacCache::update_tag`] calls — the LRU tick
-    /// advances once per buffered write and the entry lands on the
-    /// final tick — which is what lets a write combiner replay its
-    /// pending updates in one cache access. Returns false (and still
-    /// advances the tick) if the line is not resident.
+    /// sequential [`MacCache::update_tag`] calls — each would promote
+    /// the same line to most recently used, so one promotion leaves the
+    /// same recency order — which is what lets a write combiner replay
+    /// its pending updates in one cache access. Returns false if the
+    /// line is not resident.
     pub fn update_tags(&mut self, index: u64, updates: &[(usize, u64)]) -> bool {
-        self.tick += updates.len() as u64;
-        let tick = self.tick;
-        match self.entries.get_mut(&index) {
-            Some((line, dirty, lru)) => {
+        match self.entries.get(&index) {
+            Some((line, dirty)) => {
                 for &(slot, tag) in updates {
                     line[slot] = tag;
                 }
                 *dirty = true;
-                let old = std::mem::replace(lru, tick);
-                self.lru.remove(&old);
-                self.lru.insert(tick, index);
                 true
             }
             None => false,
         }
     }
 
-    /// Drains every dirty MAC line (flush / crash).
+    /// Drains every dirty MAC line (flush / crash), in index order.
     pub fn drain_dirty(&mut self) -> Vec<EvictedMacLine> {
         let mut out = Vec::new();
         for (&index, entry) in self.entries.iter_mut() {
@@ -196,7 +167,6 @@ impl MacCache {
     /// Drops all entries (power loss — MACs persist in NVM).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.lru.clear();
     }
 
     /// Number of resident MAC lines.
@@ -231,6 +201,162 @@ pub fn decode_mac_line(bytes: &[u8; 64]) -> MacLine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The tick-stamped `HashMap` + `BTreeMap` MAC cache this module
+    /// used before [`LruMap`], kept as the oracle for its replacement.
+    mod reference {
+        use super::{EvictedMacLine, MacCacheStats, MacLine};
+        use std::collections::{BTreeMap, HashMap};
+
+        pub struct TickMacCache {
+            entries: HashMap<u64, (MacLine, bool, u64)>,
+            lru: BTreeMap<u64, u64>,
+            capacity: usize,
+            tick: u64,
+            pub stats: MacCacheStats,
+        }
+
+        impl TickMacCache {
+            pub fn new(capacity: usize) -> Self {
+                Self {
+                    entries: HashMap::new(),
+                    lru: BTreeMap::new(),
+                    capacity,
+                    tick: 0,
+                    stats: MacCacheStats::default(),
+                }
+            }
+
+            fn stamp(&mut self, index: u64) {
+                let e = self.entries.get_mut(&index).expect("resident");
+                let old = std::mem::replace(&mut e.2, self.tick);
+                self.lru.remove(&old);
+                self.lru.insert(self.tick, index);
+            }
+
+            pub fn get(&mut self, index: u64) -> Option<MacLine> {
+                self.tick += 1;
+                let line = self.entries.get(&index).map(|e| e.0);
+                match line {
+                    Some(_) => {
+                        self.stamp(index);
+                        self.stats.hits += 1;
+                    }
+                    None => self.stats.misses += 1,
+                }
+                line
+            }
+
+            pub fn fill(
+                &mut self,
+                index: u64,
+                macs: MacLine,
+                dirty: bool,
+            ) -> Option<EvictedMacLine> {
+                self.tick += 1;
+                if let Some(e) = self.entries.get_mut(&index) {
+                    e.0 = macs;
+                    e.1 |= dirty;
+                    self.stamp(index);
+                    return None;
+                }
+                let mut victim = None;
+                if self.entries.len() >= self.capacity {
+                    let (_, k) = self.lru.pop_first().expect("full cache has an LRU entry");
+                    let (line, was_dirty, _) = self.entries.remove(&k).expect("present");
+                    if was_dirty {
+                        self.stats.writebacks += 1;
+                        victim = Some(EvictedMacLine { index: k, macs: line });
+                    }
+                }
+                self.entries.insert(index, (macs, dirty, self.tick));
+                self.lru.insert(self.tick, index);
+                victim
+            }
+
+            pub fn update_tags(&mut self, index: u64, updates: &[(usize, u64)]) -> bool {
+                self.tick += updates.len() as u64;
+                let Some(e) = self.entries.get_mut(&index) else { return false };
+                for &(slot, tag) in updates {
+                    e.0[slot] = tag;
+                }
+                e.1 = true;
+                self.stamp(index);
+                true
+            }
+
+            pub fn drain_dirty(&mut self) -> Vec<EvictedMacLine> {
+                let mut out: Vec<EvictedMacLine> = self
+                    .entries
+                    .iter_mut()
+                    .filter(|(_, e)| e.1)
+                    .map(|(&index, e)| {
+                        e.1 = false;
+                        EvictedMacLine { index, macs: e.0 }
+                    })
+                    .collect();
+                out.sort_by_key(|e| e.index);
+                out
+            }
+
+            pub fn clear(&mut self) {
+                self.entries.clear();
+                self.lru.clear();
+            }
+
+            pub fn len(&self) -> usize {
+                self.entries.len()
+            }
+        }
+    }
+
+    proptest! {
+        /// `MacCache` on `LruMap` returns the same lines, victims,
+        /// drains and statistics as the tick-stamped cache it replaced.
+        #[test]
+        fn prop_matches_tick_stamped_cache(
+            ops in prop::collection::vec((0u8..100, 0u64..24, any::<u64>()), 1..600),
+            cap_pick in 0usize..3,
+        ) {
+            let capacity = [1, 8, 16][cap_pick];
+            let mut fast = MacCache::new(capacity);
+            let mut oracle = reference::TickMacCache::new(capacity);
+            for (i, &(kind, index, v)) in ops.iter().enumerate() {
+                match kind {
+                    0..=34 => prop_assert_eq!(fast.get(index), oracle.get(index), "get #{}", i),
+                    35..=69 => {
+                        let (macs, dirty) = ([v; MACS_PER_LINE], v % 2 == 0);
+                        prop_assert_eq!(
+                            fast.fill(index, macs, dirty),
+                            oracle.fill(index, macs, dirty),
+                            "fill #{}", i
+                        );
+                    }
+                    70..=94 => {
+                        // Callers never pass an empty batch: the old
+                        // cache would stamp it with a reused tick.
+                        let updates: Vec<(usize, u64)> = (0..=(v % 4) as usize)
+                            .map(|n| ((v as usize + n) % 8, v ^ n as u64))
+                            .collect();
+                        prop_assert_eq!(
+                            fast.update_tags(index, &updates),
+                            oracle.update_tags(index, &updates),
+                            "update #{}", i
+                        );
+                    }
+                    95..=98 => prop_assert_eq!(fast.drain_dirty(), oracle.drain_dirty()),
+                    _ => {
+                        fast.clear();
+                        oracle.clear();
+                    }
+                }
+                prop_assert_eq!(fast.len(), oracle.len());
+                prop_assert_eq!(fast.stats(), oracle.stats);
+            }
+            prop_assert_eq!(fast.drain_dirty(), oracle.drain_dirty());
+        }
+    }
 
     #[test]
     fn fill_get_update() {
@@ -302,7 +428,7 @@ mod tests {
         assert_eq!(vs, vb);
         assert!(seq.get(1).is_some() && bat.get(1).is_some());
         assert_eq!(seq.stats(), bat.stats());
-        // A miss still advances the clock but reports false.
+        // A miss reports false and changes nothing.
         assert!(!bat.update_tags(99, &[(0, 1)]));
     }
 

@@ -7,8 +7,8 @@
 //! 4 KB region and exposes the aggregate/maximum figures that the
 //! write-reduction results (Figs 9b/9d/11) are derived from.
 
+use lelantus_types::FastHashMap;
 use lelantus_types::{PhysAddr, REGION_BYTES};
-use std::collections::HashMap;
 
 /// Per-region write counters plus aggregate wear statistics.
 ///
@@ -26,7 +26,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    per_region: HashMap<u64, u64>,
+    per_region: FastHashMap<u64, u64>,
     total: u64,
 }
 

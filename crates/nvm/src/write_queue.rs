@@ -7,12 +7,19 @@
 //! copies in the request queue" (§IV-C). The queue here is FIFO with
 //! same-line merge; when full, the oldest entry is drained to the
 //! array synchronously (write-induced stall).
+//!
+//! Every simulated line write merges or appends and every line read
+//! checks for a forwardable entry, so both lookups are O(1): beside the
+//! FIFO `VecDeque` the queue keeps an index from line number to the
+//! entry's sequence number (its position counted from the first write
+//! ever queued). A merge rewrites the entry in place and keeps its
+//! sequence number, so FIFO order is exactly that of a linear scan.
 
-use lelantus_types::{Cycles, PhysAddr};
+use lelantus_types::{Cycles, FastHashMap, PhysAddr, LINE_BYTES};
 use std::collections::VecDeque;
 
 /// One pending line write.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingWrite {
     /// Line-aligned target address.
     pub addr: PhysAddr,
@@ -52,6 +59,10 @@ pub struct WriteQueueStats {
 #[derive(Debug, Clone)]
 pub struct WriteQueue {
     entries: VecDeque<PendingWrite>,
+    /// Sequence number of `entries[0]`; entry `i` has `head_seq + i`.
+    head_seq: u64,
+    /// Line number -> sequence number of its pending entry.
+    index: FastHashMap<u64, u64>,
     capacity: usize,
     stats: WriteQueueStats,
 }
@@ -66,6 +77,8 @@ impl WriteQueue {
         assert!(capacity > 0, "write queue needs capacity");
         Self {
             entries: VecDeque::with_capacity(capacity),
+            head_seq: 0,
+            index: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
             stats: WriteQueueStats::default(),
         }
@@ -97,7 +110,8 @@ impl WriteQueue {
     pub fn push(&mut self, addr: PhysAddr, data: [u8; 64], now: Cycles) -> Option<PendingWrite> {
         let addr = addr.line_align();
         self.stats.enqueued += 1;
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.addr == addr) {
+        if let Some(&seq) = self.index.get(&line_of(addr)) {
+            let existing = &mut self.entries[(seq - self.head_seq) as usize];
             existing.data = data;
             existing.enqueued_at = now;
             self.stats.merged += 1;
@@ -105,10 +119,11 @@ impl WriteQueue {
         }
         let drained = if self.is_full() {
             self.stats.capacity_drains += 1;
-            self.entries.pop_front()
+            self.pop()
         } else {
             None
         };
+        self.index.insert(line_of(addr), self.head_seq + self.entries.len() as u64);
         self.entries.push_back(PendingWrite { addr, data, enqueued_at: now });
         drained
     }
@@ -116,37 +131,141 @@ impl WriteQueue {
     /// Returns the queued data for `addr` if a write is pending
     /// (read forwarding).
     pub fn forward(&mut self, addr: PhysAddr) -> Option<[u8; 64]> {
-        let addr = addr.line_align();
-        let hit = self.entries.iter().find(|e| e.addr == addr).map(|e| e.data);
-        if hit.is_some() {
-            self.stats.forwarded_reads += 1;
-        }
-        hit
+        let seq = *self.index.get(&line_of(addr))?;
+        self.stats.forwarded_reads += 1;
+        Some(self.entries[(seq - self.head_seq) as usize].data)
     }
 
     /// Removes and returns the oldest pending write.
     pub fn pop(&mut self) -> Option<PendingWrite> {
-        self.entries.pop_front()
+        let oldest = self.entries.pop_front()?;
+        self.index.remove(&line_of(oldest.addr));
+        self.head_seq += 1;
+        Some(oldest)
     }
 
     /// Drops any pending write to `addr` (superseded by a durable
-    /// write). Returns true if an entry was discarded.
+    /// write). Returns true if an entry was discarded. Durable writes
+    /// are rare, so this renumbers the survivors rather than keeping
+    /// gaps in the sequence.
     pub fn discard(&mut self, addr: PhysAddr) -> bool {
-        let addr = addr.line_align();
-        let before = self.entries.len();
-        self.entries.retain(|e| e.addr != addr);
-        self.entries.len() != before
+        let Some(seq) = self.index.remove(&line_of(addr)) else {
+            return false;
+        };
+        let pos = (seq - self.head_seq) as usize;
+        self.entries.remove(pos);
+        for (i, e) in self.entries.iter().enumerate().skip(pos) {
+            self.index.insert(line_of(e.addr), self.head_seq + i as u64);
+        }
+        true
     }
 
     /// Drains all pending writes (e.g. at a persist barrier).
     pub fn drain_all(&mut self) -> Vec<PendingWrite> {
+        self.index.clear();
+        self.head_seq += self.entries.len() as u64;
         self.entries.drain(..).collect()
     }
+}
+
+/// Line number of `addr` (the index key).
+#[inline(always)]
+fn line_of(addr: PhysAddr) -> u64 {
+    addr.as_u64() / LINE_BYTES as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The linear-scan queue this module used before the line index,
+    /// kept as the oracle for its replacement.
+    struct ScanQueue {
+        entries: VecDeque<PendingWrite>,
+        capacity: usize,
+        stats: WriteQueueStats,
+    }
+
+    impl ScanQueue {
+        fn new(capacity: usize) -> Self {
+            Self { entries: VecDeque::new(), capacity, stats: WriteQueueStats::default() }
+        }
+
+        fn push(&mut self, addr: PhysAddr, data: [u8; 64], now: Cycles) -> Option<PendingWrite> {
+            let addr = addr.line_align();
+            self.stats.enqueued += 1;
+            if let Some(existing) = self.entries.iter_mut().find(|e| e.addr == addr) {
+                existing.data = data;
+                existing.enqueued_at = now;
+                self.stats.merged += 1;
+                return None;
+            }
+            let drained = if self.entries.len() >= self.capacity {
+                self.stats.capacity_drains += 1;
+                self.entries.pop_front()
+            } else {
+                None
+            };
+            self.entries.push_back(PendingWrite { addr, data, enqueued_at: now });
+            drained
+        }
+
+        fn forward(&mut self, addr: PhysAddr) -> Option<[u8; 64]> {
+            let addr = addr.line_align();
+            let hit = self.entries.iter().find(|e| e.addr == addr).map(|e| e.data);
+            if hit.is_some() {
+                self.stats.forwarded_reads += 1;
+            }
+            hit
+        }
+
+        fn discard(&mut self, addr: PhysAddr) -> bool {
+            let addr = addr.line_align();
+            let before = self.entries.len();
+            self.entries.retain(|e| e.addr != addr);
+            self.entries.len() != before
+        }
+    }
+
+    proptest! {
+        /// Random push / forward / discard / pop / drain soups over a
+        /// few lines, addressed at varying offsets so distinct
+        /// addresses alias one line: the indexed queue drains,
+        /// forwards and counts exactly like the linear scan.
+        #[test]
+        fn prop_matches_linear_scan_queue(
+            ops in prop::collection::vec((0u8..100, 0u64..24, 0u64..64, any::<u8>()), 1..500),
+            cap_pick in 0usize..3,
+        ) {
+            let capacity = [1, 4, 64][cap_pick];
+            let lines = if capacity == 64 { 96 } else { 3 * capacity as u64 };
+            let mut fast = WriteQueue::new(capacity);
+            let mut oracle = ScanQueue::new(capacity);
+            for (i, &(kind, line, offset, byte)) in ops.iter().enumerate() {
+                let addr = PhysAddr::new((line * 7 % lines) * 64 + offset);
+                let now = Cycles::new(i as u64);
+                match kind {
+                    0..=49 => prop_assert_eq!(
+                        fast.push(addr, [byte; 64], now),
+                        oracle.push(addr, [byte; 64], now),
+                        "push #{}", i
+                    ),
+                    50..=79 => prop_assert_eq!(fast.forward(addr), oracle.forward(addr), "forward #{}", i),
+                    80..=89 => prop_assert_eq!(fast.discard(addr), oracle.discard(addr), "discard #{}", i),
+                    90..=97 => prop_assert_eq!(fast.pop(), oracle.entries.pop_front(), "pop #{}", i),
+                    _ => prop_assert_eq!(
+                        fast.drain_all(),
+                        oracle.entries.drain(..).collect::<Vec<_>>(),
+                        "drain #{}", i
+                    ),
+                }
+                prop_assert_eq!(fast.len(), oracle.entries.len());
+                prop_assert_eq!(fast.stats(), oracle.stats);
+            }
+            prop_assert_eq!(fast.drain_all(), oracle.entries.drain(..).collect::<Vec<_>>());
+        }
+    }
 
     fn line(a: u64) -> PhysAddr {
         PhysAddr::new(a * 64)

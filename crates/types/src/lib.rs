@@ -18,10 +18,14 @@
 
 pub mod addr;
 pub mod cycles;
+pub mod hash;
+pub mod lru;
 pub mod page;
 
 pub use addr::{PhysAddr, VirtAddr};
 pub use cycles::Cycles;
+pub use hash::{FastHashMap, FastHashSet};
+pub use lru::LruMap;
 pub use page::PageSize;
 
 /// Cacheline size in bytes (paper Table III: 64 B blocks everywhere).
